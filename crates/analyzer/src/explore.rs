@@ -44,7 +44,7 @@ use session_types::Dur;
 
 use crate::diag::LintCode;
 use crate::machine::{MpMachine, SmMachine, StepInfo};
-use crate::parallel::PROGRESS_BATCH;
+use crate::partition::PROGRESS_BATCH;
 use crate::profile::{ExploreProfile, FlightOpts, WorkerProfile};
 use crate::{por, symmetry};
 
@@ -252,8 +252,8 @@ pub struct ExploreOpts {
     /// [`crate::symmetry`]).
     pub symmetry: bool,
     /// Worker threads. `1` (the default) runs the classic serial DFS;
-    /// `> 1` runs the hash-partitioned ownership explorer in
-    /// [`crate::parallel`], whose findings *and counters* are
+    /// `> 1` runs the claim-table parallel explorer in
+    /// [`crate::partition`], whose findings *and counters* are
     /// bit-identical to the serial path's (see DESIGN.md §13 for the
     /// determinism argument). Must be at least 1.
     pub threads: usize,
@@ -386,7 +386,7 @@ pub fn explore_flight(
 ) -> (Exploration, Option<ExploreProfile>) {
     assert!(opts.threads >= 1, "ExploreOpts::threads must be >= 1");
     if opts.threads > 1 {
-        return crate::parallel::explore_parallel_flight(
+        return crate::partition::explore_parallel_flight(
             roots, n, s, max_depth, opts, recorder, flight,
         );
     }
@@ -509,11 +509,11 @@ pub(crate) const MEMO_COMPLETE: usize = usize::MAX;
 
 /// The (machine × counter) memo key: the symmetry-canonical key when the
 /// reduction is on and the target is eligible, the plain combined
-/// fingerprint otherwise. Shared by the serial explorer and the sharded
-/// parallel memo so both paths prune identically. Equal keys imply equal
+/// fingerprint otherwise. Shared by the serial explorer and the parallel
+/// explorer's replay so both paths prune identically. Equal keys imply equal
 /// choice menus — [`MpMachine::eligible`] enumerates in the canonical
 /// order the hash is computed over — so the key is graph-determining:
-/// the ownership explorer routes, dedups and logs records by it, and
+/// the parallel explorer claims and logs records by it, and
 /// whichever representative of the class a worker expands first yields
 /// the same record any other would have.
 ///
@@ -530,12 +530,12 @@ pub(crate) fn state_key(machine: &AnyMachine, counter: &SessionCounter, symmetry
     hasher.finish()
 }
 
-/// The (machine × counter) routing key of the ownership explorer: the
+/// The (machine × counter) claim key of the parallel explorer: the
 /// plain combined fingerprint, never symmetry-canonicalized. Symmetry
 /// reduction equates permuted states whose choice menus rename processes
 /// differently, so the canonical key is *not* graph-determining — which
 /// permuted representative a worker expanded first would leak into the
-/// logged menu. The plain key is graph-determining, so routing and
+/// logged menu. The plain key is graph-determining, so claims and
 /// record identity use it; the replay pass then collapses orbits under
 /// the memo key ([`state_key`]) exactly where the serial explorer does.
 /// Whenever symmetry is off — or refused for the target, which covers

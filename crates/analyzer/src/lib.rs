@@ -41,15 +41,14 @@
 //! behind `Arc`, so forking a branch is cheap); [`explore`] runs a
 //! memoized depth-first search over those branches, optionally through
 //! the [`por`] ample-set selector and the [`symmetry`] state
-//! canonicalization, and [`parallel`] scales that search across worker
-//! threads via the hash-partitioned ownership walk in [`partition`],
-//! with verdicts and counters bit-identical to the serial path; [`dbm`]
-//! and
-//! [`zones`] form the symbolic engine; [`replay`] re-executes
-//! counterexample paths (through the real `SmEngine` for shared memory)
-//! and renders them as timelines; [`targets`] names the thirteen analysis
-//! targets; [`hb`] analyzes recorded traces; [`diag`] defines the stable
-//! lint codes and report formats.
+//! canonicalization, and [`partition`] scales that search across worker
+//! threads through a shared claim table, with verdicts and counters
+//! bit-identical to the serial path; [`dbm`] and [`zones`] form the
+//! symbolic engine; [`replay`] re-executes counterexample paths (through
+//! the real `SmEngine` for shared memory) and renders them as timelines;
+//! [`targets`] names the thirteen analysis targets; [`hb`] analyzes
+//! recorded traces; [`diag`] defines the stable lint codes and report
+//! formats.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,7 +59,6 @@ pub mod explore;
 pub mod feasibility;
 pub mod hb;
 pub mod machine;
-pub mod parallel;
 pub mod partition;
 pub mod por;
 pub mod profile;

@@ -678,8 +678,8 @@ impl MpMachine {
     /// tie-break between byte-identical duplicates — which are
     /// interchangeable, so the resulting menu order is a function of the
     /// canonical state, not of the queue history that produced this
-    /// representative. That is what lets the memo (and the ownership
-    /// explorer's routing) use `state_hash` as a *graph-determining* key:
+    /// representative. That is what lets the memo (and the parallel
+    /// explorer's claim table) use `state_hash` as a *graph-determining* key:
     /// two machines with equal hashes enumerate identical choice menus
     /// and therefore expand to identical successor lists, so it does not
     /// matter which representative of the equivalence class gets
@@ -954,8 +954,8 @@ impl MpMachine {
     /// insertion sequence is an enumeration artifact, not state).
     /// Because [`MpMachine::eligible`] enumerates the choice menu in the
     /// same canonical order, equal hashes mean equal menus — the hash is
-    /// graph-determining, which the ownership explorer's routing relies
-    /// on.
+    /// graph-determining, which the parallel explorer's claim table
+    /// relies on.
     pub fn state_hash(&self) -> u64 {
         let mut hasher = FxHasher::default();
         let t = self.t_min();

@@ -1,99 +1,85 @@
-//! Hash-partitioned ownership exploration (DESIGN.md §13).
+//! Multi-core exploration: the claim-table explorer behind
+//! `ExploreOpts { threads > 1 }`, whose findings *and counters* are
+//! bit-identical to the serial DFS in [`crate::explore`].
 //!
-//! Each worker **owns** a shard of the 64-bit fingerprint space
-//! ([`owner_of`]): a state is expanded by its owner or not at all. A
-//! worker expanding a state routes every open successor to that
-//! successor's owner over a bounded SPSC ring ([`SpscRing`]), batched
-//! [`ROUTE_BATCH`] messages at a time. The owner's visited set is a
-//! plain thread-local `FxHashSet` — no locks, no budgets — and a key is
-//! pushed to the owner's work queue exactly once, on first arrival;
-//! later arrivals drop. Zero duplicate expansions, by construction.
+//! # Phases (DESIGN.md §13)
 //!
-//! Global quiescence (every queue empty, every ring empty, nothing in
-//! flight) is detected with a Safra-style termination token circulating
-//! the worker ring ([`Control`], [`TokenState`]): workers count routed
-//! messages sent minus received, turn black on receipt, and the
-//! initiator declares done only after a fully white round whose counts
-//! sum to zero. No global lock anywhere on the hot path.
+//! * **Phase A — parallel claim walk.** Workers share one visited set,
+//!   the claim table ([`Frontier`]): a worker expanding a state claims
+//!   each open child's [`route_key`], and only the claim's winner keeps
+//!   the child, on its own LIFO stack. Each state is therefore expanded
+//!   exactly once, by whichever worker reached it first, and machines
+//!   cross threads only when a busy worker hands the oldest half of its
+//!   stack to a hungry peer through the donation pool. A shared count of
+//!   claimed-but-unexpanded states detects termination. Every expansion
+//!   appends an annotated successor record to its worker's log.
+//! * **Serial replay.** After the join, the serial DFS is re-run over
+//!   the *logged key-graph* ([`Replay`]): no machine clones, no step
+//!   application, just the exact budget-aware memo, lasso check, depth
+//!   accounting and POR ample/proviso logic of [`crate::explore`], in
+//!   the serial visit order. Every reported number — `states`, `pruned`,
+//!   `memo_hits`, `truncated`, the code set — is therefore *the serial
+//!   explorer's number*, at every thread count, for every reduction
+//!   combination.
+//! * **Phase B — serial witness re-derivation.** The replayed code set
+//!   goes to [`crate::explore::explore_witnesses`], which re-runs the
+//!   serial DFS in canonical order and stops once every code has a
+//!   witness — same codes, same roots, same paths as `threads = 1`.
+//!   Clean targets skip Phase B entirely.
 //!
 //! # Exactness: the replay pass and the two-key scheme
 //!
-//! Phase A does **not** try to reproduce the serial explorer's
-//! path-dependent bookkeeping (depth budgets, lasso detection, the POR
-//! cycle proviso) while racing. Instead each worker logs the full
-//! annotated successor record of every state it expands — child keys in
-//! choice order, pruned-edge lint codes, quiescent-edge `SA001`
-//! verdicts, the ample range — and after the join a **serial replay**
-//! ([`Replay`]) runs the exact serial DFS over the logged key-graph:
-//! same memo-budget semantics, same on-path lasso check, same proviso,
-//! same counters. Machines are cloned and hashed only in the parallel
-//! phase; the replay touches nothing but `u64`s, so it costs ~1% of
-//! Phase A. Every reported number (`states`, `truncated`, `depth_hits`,
-//! `pruned`, `memo_hits`) is therefore **bit-identical to the serial
-//! explorer at every thread count** — not merely the same verdicts.
-//!
-//! That argument rests on the record graph being **race-free**: the
-//! record logged for a key must not depend on which arrival won. The
-//! memo key ([`state_key`]) equates machines whose pending queues hold
-//! the same multiset in a different order, which is safe precisely
-//! because [`MpMachine::eligible`] enumerates the choice menu in the
-//! canonical order the hash is computed over — equal hashes mean equal
-//! menus, so every representative of the class expands to the same
-//! record and first-arrival is harmless. (An insertion-order menu
-//! tie-break breaks this: an experiment routing by an order-exact key
-//! to sidestep it expanded 10.0x the serial states on the bench
-//! headline at `reduce=none` and 4.4x at `reduce=all` — aliased
-//! representatives are pervasive, not rare — which is why the menu
-//! order is canonicalized at the machine instead.)
+//! The replay argument rests on the record graph being **race-free**:
+//! the record logged for a key must not depend on which worker won its
+//! claim. The memo key ([`crate::explore::state_key`]) equates machines
+//! whose pending queues hold the same multiset in a different order,
+//! which is safe precisely because [`MpMachine::eligible`] enumerates
+//! the choice menu in the canonical order the hash is computed over —
+//! equal hashes mean equal menus, so every representative of the class
+//! expands to the same record and first-claim is harmless.
 //!
 //! Symmetry reduction is the one layer where the memo key is coarser
 //! than the menu: the canonical key equates *permuted* states whose
-//! menus rename processes differently. Phase A therefore routes,
-//! dedups and indexes records by the never-canonicalized
-//! [`route_key`], and each record stores the memo key alongside. The
-//! replay walks edges by route key — reproducing serial's concrete
-//! plain-state walk — while running its memo / on-path sets on the
-//! stored memo key, which is precisely the serial explorer's behavior:
-//! memoize the orbit, expand the concrete representative the walk
-//! arrived at. The two keys are computed identically whenever symmetry
-//! is off or refused for the target (every identity-carrying
-//! algorithm, including the bench headline), so the extra orbit
-//! representatives Phase A expands are bounded by the orbit size and
-//! cost nothing at all outside `reduce=symmetry` runs on genuinely
-//! symmetric targets; replay skips their records via the memo, so
-//! reported counts stay serial-exact.
+//! menus rename processes differently. Phase A therefore claims and
+//! indexes records by the never-canonicalized [`route_key`], and each
+//! record stores the memo key alongside. The replay walks edges by
+//! route key — reproducing serial's concrete plain-state walk — while
+//! running its memo / on-path sets on the stored memo key, which is
+//! precisely the serial explorer's behavior: memoize the orbit, expand
+//! the concrete representative the walk arrived at. The two keys
+//! coincide whenever symmetry is off or refused for the target (every
+//! identity-carrying algorithm, including the bench headline), so the
+//! extra orbit representatives Phase A expands cost nothing outside
+//! `reduce=symmetry` runs on genuinely symmetric targets; replay skips
+//! their records via the memo, so reported counts stay serial-exact.
 //!
 //! [`MpMachine::eligible`]: crate::machine::MpMachine
 //!
 //! Two escape hatches keep that argument airtight:
 //!
-//! * **Depth cut → serial fallback.** The ownership walk ignores the
-//!   depth budget (it visits each state once, so path depth is
-//!   meaningless to it), which is only sound when the whole reachable
-//!   space fits in the budget. The first arrival of an unvisited state
-//!   at `depth >= max_depth` raises a global cut flag; the round aborts
-//!   and the caller falls back to the serial explorer wholesale.
-//!   Truncated scopes were never parallel wins anyway.
+//! * **Depth cut → serial fallback.** The claim walk ignores the depth
+//!   budget (it visits each state once, so path depth is meaningless to
+//!   it), which is only sound when the whole reachable space fits in the
+//!   budget. A won claim at `depth >= max_depth` raises a global cut
+//!   flag; the round aborts and the caller falls back to the serial
+//!   explorer wholesale. Truncated scopes were never parallel wins.
 //! * **POR proviso → flag-and-re-round.** Under POR, Phase A explores
 //!   ample-only menus, so a replay that hits the cycle proviso at a
 //!   state whose full menu was never logged cannot continue exactly. It
 //!   records the state in a `needs_full` set; the controller re-runs
 //!   Phase A with those states forced to full expansion and replays
 //!   again, to a fixpoint. Acyclic spaces (every `reduce=none` /
-//!   `reduce=symmetry` run, and the bench headline) take exactly one
-//!   round.
+//!   `reduce=symmetry` run, and the bench headline) take one round.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::ops::Range;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-// Under `--cfg loom` every primitive routes through the loom facade, so
-// `loom_tests` can model-check the ring and the termination token with
-// the same types the production build uses.
+// Under `--cfg loom` the claim table's primitives route through the loom
+// facade, so `loom_tests` exercises the same types the production build
+// uses.
 #[cfg(loom)]
-use loom::sync::atomic::{AtomicBool, Ordering};
-#[cfg(loom)]
-use loom::sync::atomic::AtomicUsize;
+use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 #[cfg(loom)]
 use loom::sync::Mutex;
 #[cfg(loom)]
@@ -106,228 +92,463 @@ use std::sync::Mutex;
 use std::thread::yield_now;
 
 use rustc_hash::{FxHashMap, FxHashSet};
-use session_obs::{ProgressBoard, TimelineSpan};
+use session_obs::{ProgressBoard, Recorder, TimelineSpan};
 
 use crate::diag::LintCode;
-use crate::explore::{route_key, state_key, AnyMachine, ExploreOpts, SessionCounter, MEMO_COMPLETE};
-use crate::parallel::{make_child, nanos, Child, PROGRESS_BATCH};
-use crate::por;
-use crate::profile::WorkerProfile;
+use crate::explore::{
+    check_step, explore_witnesses, route_key, AnyMachine, Exploration, ExploreOpts, ReductionStats,
+    SessionCounter, MEMO_COMPLETE,
+};
+use crate::profile::{ExploreProfile, FlightOpts, WorkerProfile, FLIGHT_BUFFER_CAP};
+use crate::{por, symmetry};
 
-/// Routed successors per batch: amortizes ring traffic (one slot write
-/// and two atomics per batch) without letting partial batches hold many
-/// states hostage before an idle flush.
-pub(crate) const ROUTE_BATCH: usize = 64;
+/// Progress updates are batched: workers publish to the shared
+/// [`session_obs::ProgressBoard`] once per this many expanded states,
+/// amortizing the atomic traffic to nothing.
+pub(crate) const PROGRESS_BATCH: u64 = 256;
 
-/// Ring capacity in batches per (producer, consumer) pair. A full ring
-/// back-pressures the producer, which drains its own inboxes while it
-/// spins — bounded memory, no deadlock.
-pub(crate) const RING_CAPACITY: usize = 128;
-
-/// How many local expansions between inbox polls while the queue is
-/// non-empty (keeps producers unblocked without per-state poll cost).
-const POLL_EVERY: u32 = 64;
-
-/// Which worker owns a fingerprint: a splitmix-style remix (the raw key
-/// is an FxHash, whose low bits are weak) followed by a multiply-shift
-/// range reduction — uniform for any thread count, no modulo.
-#[inline]
-pub(crate) fn owner_of(key: u64, threads: usize) -> usize {
-    let mut x = key;
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    ((u128::from(x) * threads as u128) >> 64) as usize
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// A bounded single-producer single-consumer ring. Slots are
-/// `Mutex<Option<T>>` (uncontended by protocol: the producer only
-/// writes a slot the head/tail counters prove free, the consumer only
-/// takes a filled one), occupancy is a pair of monotonic atomics — safe
-/// Rust, loom-checkable, no `unsafe`.
-pub(crate) struct SpscRing<T> {
-    slots: Vec<Mutex<Option<T>>>,
-    /// Next slot the consumer takes (monotonic; slot = `head % cap`).
-    head: AtomicUsize,
-    /// Next slot the producer fills (monotonic; slot = `tail % cap`).
-    tail: AtomicUsize,
+/// A successor edge's result: pruned at a step-level lint, or an open
+/// child state (with its advanced counter when the step was visible to
+/// the session counter).
+enum Child {
+    Pruned(LintCode),
+    Open(AnyMachine, Option<SessionCounter>),
 }
 
-impl<T> SpscRing<T> {
-    pub(crate) fn new(capacity: usize) -> SpscRing<T> {
-        assert!(capacity > 0, "ring capacity must be positive");
-        SpscRing {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-        }
-    }
-
-    /// Producer side. Returns the value back when the ring is full.
-    pub(crate) fn try_push(&self, value: T) -> Result<(), T> {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= self.slots.len() {
-            return Err(value);
-        }
-        *self.slots[tail % self.slots.len()].lock().expect("ring slot") = Some(value);
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
-    }
-
-    /// Consumer side. `None` when the ring is empty.
-    pub(crate) fn try_pop(&self) -> Option<T> {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        let value = self.slots[head % self.slots.len()]
-            .lock()
-            .expect("ring slot")
-            .take();
-        debug_assert!(value.is_some(), "occupied slot must hold a value");
-        self.head.store(head.wrapping_add(1), Ordering::Release);
-        value
-    }
-
-    /// Occupied batch slots (approximate under concurrency; exact when
-    /// both sides are quiescent).
-    pub(crate) fn len(&self) -> usize {
-        self.tail
-            .load(Ordering::Acquire)
-            .wrapping_sub(self.head.load(Ordering::Acquire))
+fn make_child(machine: &AnyMachine, counter: &SessionCounter, choice: usize) -> Child {
+    let mut next = machine.clone();
+    let info = next.apply(choice, None);
+    let next_counter = info.port.is_some().then(|| {
+        let mut cloned = counter.clone();
+        cloned.observe(&info);
+        cloned
+    });
+    let effective = next_counter.as_ref().unwrap_or(counter);
+    match check_step(&info, &next, effective) {
+        Some((code, _message)) => Child::Pruned(code),
+        None => Child::Open(next, next_counter),
     }
 }
 
-/// The Safra token: routed-message balance accumulated around the ring
-/// plus the taint bit (some visited worker received since it last
-/// passed the token).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Token {
-    pub(crate) count: i64,
-    pub(crate) black: bool,
+/// The claim table has `2^CLAIM_STRIPE_BITS` stripes, picked by a key's
+/// top bits. A claim locks only its key's stripe. The low bits are left
+/// to the stripe's own set, whose FxHash buckets by them.
+const CLAIM_STRIPE_BITS: u32 = 6;
+
+/// What one round's workers share: the claim table, the donation pool
+/// and the termination count. A worker holds at most one of its locks
+/// at a time.
+struct Frontier<T> {
+    /// Every route key claimed this round, striped by its top
+    /// [`CLAIM_STRIPE_BITS`] bits.
+    claims: Vec<Mutex<FxHashSet<u64>>>,
+    /// Claimed states handed over to balance load, oldest first.
+    pool: Mutex<Vec<T>>,
+    /// Workers whose own stack is empty, waiting on the pool. A hint
+    /// that publishes no data, so `Relaxed` throughout.
+    hungry: AtomicUsize,
+    /// Claimed states not yet expanded, wherever they are held. Updates
+    /// are `AcqRel` and [`Frontier::quiescent`] loads with `Acquire`, so
+    /// a worker that reads zero sees every expansion that led there.
+    pending: AtomicUsize,
+    /// Raised when a claim lands at the depth budget: the round is void.
+    /// Only the flag itself is published; the controller reads it after
+    /// the join.
+    cut: AtomicBool,
 }
 
-/// Round-global coordination: one token slot per worker plus the two
-/// flags every loop polls. No lock is ever held across useful work.
-pub(crate) struct Control {
-    token_slots: Vec<Mutex<Option<Token>>>,
-    /// Set by the initiator when the Safra condition holds.
-    pub(crate) done: AtomicBool,
-    /// Set by any worker whose first arrival of a state exhausts the
-    /// depth budget: abort the round, fall back to the serial explorer.
-    pub(crate) cut: AtomicBool,
-}
-
-impl Control {
-    pub(crate) fn new(threads: usize) -> Control {
-        Control {
-            // The token starts black at the initiator, forcing at least
-            // one full white round before termination can be declared.
-            token_slots: (0..threads)
-                .map(|i| {
-                    Mutex::new((i == 0).then_some(Token {
-                        count: 0,
-                        black: true,
-                    }))
-                })
+impl<T> Frontier<T> {
+    fn new() -> Frontier<T> {
+        Frontier {
+            claims: (0..1 << CLAIM_STRIPE_BITS)
+                .map(|_| Mutex::new(FxHashSet::default()))
                 .collect(),
-            done: AtomicBool::new(false),
+            pool: Mutex::new(Vec::new()),
+            hungry: AtomicUsize::new(0),
+            pending: AtomicUsize::new(0),
             cut: AtomicBool::new(false),
         }
     }
-}
 
-/// One worker's Safra bookkeeping: cumulative sent/received message
-/// counts (never reset) and its own taint bit.
-pub(crate) struct TokenState {
-    sent: i64,
-    received: i64,
-    black: bool,
-}
-
-impl TokenState {
-    pub(crate) fn new() -> TokenState {
-        TokenState {
-            sent: 0,
-            received: 0,
-            black: false,
-        }
+    /// Claims `key`: `true` for exactly one caller per key and round,
+    /// which thereby owns the state and must expand it (or void the
+    /// round with [`Frontier::raise_cut`]).
+    fn claim(&self, key: u64) -> bool {
+        self.claims[(key >> (64 - CLAIM_STRIPE_BITS)) as usize]
+            .lock()
+            .expect("claim stripe")
+            .insert(key)
     }
 
-    /// Count `msgs` routed messages pushed to a peer ring.
-    pub(crate) fn on_send(&mut self, msgs: usize) {
-        self.sent += msgs as i64;
+    /// Hands the claimed roots to the pool, each one pending.
+    fn seed(&self, roots: Vec<T>) {
+        self.pending.fetch_add(roots.len(), Ordering::AcqRel);
+        self.pool.lock().expect("donation pool").extend(roots);
     }
 
-    /// Count `msgs` routed messages drained from a peer ring. Receiving
-    /// taints the worker black: a round that saw traffic proves nothing.
-    pub(crate) fn on_recv(&mut self, msgs: usize) {
-        self.received += msgs as i64;
-        self.black = true;
-    }
-
-    /// Pass the token along the ring if it is parked here. Must only be
-    /// called while locally idle (empty queue, empty inboxes, flushed
-    /// partial batches — unsent partials keep their creator non-idle,
-    /// which is what makes their uncounted messages safe). Returns
-    /// `true` only on the initiator, when it declares global
-    /// termination.
-    pub(crate) fn try_pass(&mut self, control: &Control, me: usize) -> bool {
-        let parked = control.token_slots[me].lock().expect("token slot").take();
-        let Some(mut token) = parked else {
-            return false;
-        };
-        let deficit = self.sent - self.received;
-        if me == 0 {
-            // The initiator evaluates the round that just completed:
-            // a white token, a white self, and a zero global balance
-            // mean no message is in flight and nobody has work.
-            if !token.black && !self.black && token.count + deficit == 0 {
-                control.done.store(true, Ordering::Release);
-                return true;
+    /// Settles one finished expansion that won `won` child claims: the
+    /// parent stops being pending and its children start. One atomic
+    /// update per expansion, none when exactly one child was won.
+    fn settle(&self, won: usize) {
+        match won {
+            0 => {
+                self.pending.fetch_sub(1, Ordering::AcqRel);
             }
-            self.black = false;
-            token = Token {
-                count: 0,
-                black: false,
-            };
-        } else {
-            token.count += deficit;
-            if self.black {
-                token.black = true;
-                self.black = false;
+            1 => {}
+            more => {
+                self.pending.fetch_add(more - 1, Ordering::AcqRel);
             }
         }
-        let next = (me + 1) % control.token_slots.len();
-        *control.token_slots[next].lock().expect("token slot") = Some(token);
-        false
+    }
+
+    /// No claimed state is left unexpanded anywhere. Once true it stays
+    /// true: `pending` only grows inside an expansion that still holds
+    /// its own count.
+    fn quiescent(&self) -> bool {
+        self.pending.load(Ordering::Acquire) == 0
+    }
+
+    fn raise_cut(&self) {
+        self.cut.store(true, Ordering::Relaxed);
+    }
+
+    fn is_cut(&self) -> bool {
+        self.cut.load(Ordering::Relaxed)
+    }
+
+    fn hungry(&self) -> bool {
+        self.hungry.load(Ordering::Relaxed) > 0
+    }
+
+    /// Moves the oldest half of `stack` to the pool if the pool is empty
+    /// (callers check [`Frontier::hungry`] first). Returns how many
+    /// states moved.
+    fn donate(&self, stack: &mut Vec<T>) -> usize {
+        let mut pool = self.pool.lock().expect("donation pool");
+        if !pool.is_empty() {
+            return 0;
+        }
+        let half = stack.len() / 2;
+        pool.extend(stack.drain(..half));
+        half
+    }
+
+    /// Moves half the pool (rounded up) onto `stack`. Returns how many
+    /// states moved and how deep the pool was.
+    fn take(&self, stack: &mut Vec<T>) -> (usize, usize) {
+        let mut pool = self.pool.lock().expect("donation pool");
+        let depth = pool.len();
+        let half = depth.div_ceil(2);
+        stack.extend(pool.drain(..half));
+        (half, depth)
+    }
+
+    /// Distinct keys claimed so far.
+    fn claimed(&self) -> usize {
+        self.claims
+            .iter()
+            .map(|stripe| stripe.lock().expect("claim stripe").len())
+            .sum()
     }
 }
 
-/// One successor routed to its owner: the child state, its session
-/// counter, the depth of the generating path, and the precomputed key.
-pub(crate) struct RoutedState {
+/// One worker's Phase A activity in a round. The profile keeps the
+/// routing-era names for these (DESIGN.md §15).
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    /// States expanded.
+    expanded: u64,
+    /// Won child claims, kept on this worker's stack (`local_msgs`).
+    kept: u64,
+    /// States donated to the pool (`route_send`).
+    donated: u64,
+    /// States taken from the pool (`route_recv`).
+    taken: u64,
+    /// Idle polls that found the pool empty (`queue_full_spins`).
+    empty_polls: u64,
+}
+
+impl Tally {
+    fn add(&mut self, other: Tally) {
+        self.expanded += other.expanded;
+        self.kept += other.kept;
+        self.donated += other.donated;
+        self.taken += other.taken;
+        self.empty_polls += other.empty_polls;
+    }
+}
+
+/// One worker's Phase A loop. It pops its own stack LIFO and hands each
+/// state to `expand`, which must push exactly the children it won claims
+/// for. After each expansion it donates to a hungry peer when it can.
+/// With its stack empty it waits on the pool until the pool refills or
+/// the frontier is quiescent.
+fn work<T>(
+    frontier: &Frontier<T>,
+    mut expand: impl FnMut(T, &mut Vec<T>),
+    mut prof: Option<&mut WorkerProfile>,
+    epoch: Instant,
+    round: u64,
+) -> Tally {
+    let profiled = prof.is_some();
+    let clock = || if profiled { nanos(epoch.elapsed()) } else { 0 };
+    let mut tally = Tally::default();
+    let mut stack = Vec::new();
+    loop {
+        let idle_from = clock();
+        let mut busy_from = idle_from;
+        let mut took = 0;
+        frontier.hungry.fetch_add(1, Ordering::Relaxed);
+        while !frontier.is_cut() {
+            busy_from = clock();
+            let (taken, depth) = frontier.take(&mut stack);
+            if taken > 0 {
+                took = taken;
+                if let Some(prof) = prof.as_deref_mut() {
+                    prof.route_recv_ns += clock().saturating_sub(busy_from);
+                    if prof.inbox_depth.len() < FLIGHT_BUFFER_CAP {
+                        prof.inbox_depth.push((busy_from, depth as u64));
+                    }
+                }
+                break;
+            }
+            if frontier.quiescent() {
+                break;
+            }
+            tally.empty_polls += 1;
+            yield_now();
+        }
+        frontier.hungry.fetch_sub(1, Ordering::Relaxed);
+        if let Some(prof) = prof.as_deref_mut() {
+            prof.idle_ns += busy_from.saturating_sub(idle_from);
+        }
+        if took == 0 {
+            break;
+        }
+        tally.taken += took as u64;
+        while let Some(item) = stack.pop() {
+            let base = stack.len();
+            expand(item, &mut stack);
+            let won = stack.len() - base;
+            frontier.settle(won);
+            tally.expanded += 1;
+            tally.kept += won as u64;
+            if frontier.is_cut() {
+                break;
+            }
+            if stack.len() >= 2 && frontier.hungry() {
+                let from = clock();
+                let moved = frontier.donate(&mut stack);
+                tally.donated += moved as u64;
+                if let Some(prof) = prof.as_deref_mut() {
+                    prof.route_send_ns += clock().saturating_sub(from);
+                }
+            }
+        }
+        if let Some(prof) = prof.as_deref_mut() {
+            let end = clock();
+            prof.busy_ns += end.saturating_sub(busy_from);
+            prof.timeline.push(TimelineSpan {
+                name: "work",
+                start_ns: busy_from,
+                end_ns: end,
+                detail: round,
+            });
+        }
+        if frontier.is_cut() {
+            break;
+        }
+    }
+    tally
+}
+
+/// A state its worker won the claim for, with the session counter and
+/// depth of the path that claimed it.
+struct Claimed {
     machine: AnyMachine,
     counter: SessionCounter,
     depth: usize,
-    /// The plain [`route_key`] — ownership, dedup and the record index
-    /// all run on it (never on the symmetry-canonical memo key, which
-    /// is coarser; see the module docs).
+    /// The plain [`route_key`] — claims, records and the replay walk all
+    /// run on it (never on the symmetry-canonical memo key, which is
+    /// coarser; see the module docs).
     key: u64,
 }
 
-type Batch = Vec<RoutedState>;
+/// One worker's expansion side: walks a claimed state's menu, logs its
+/// successor record and claims its open children.
+struct Expander<'a> {
+    frontier: &'a Frontier<Claimed>,
+    /// States (by route key) whose full menu must be expanded this
+    /// round (POR proviso fixpoint flags). Read-only during the round.
+    flagged: &'a FxHashSet<u64>,
+    s: u64,
+    max_depth: usize,
+    opts: ExploreOpts,
+    log: Vec<u64>,
+    /// Child claims attempted, won or lost.
+    claims: u64,
+    progress: Option<&'a ProgressBoard>,
+    batch_states: u64,
+    batch_depth: u64,
+}
+
+impl Expander<'_> {
+    /// Expands one claimed state: walk its menu (ample-only under POR
+    /// unless flagged for full expansion), log the annotated successor
+    /// record, and push the open children this worker wins.
+    fn expand(&mut self, item: Claimed, stack: &mut Vec<Claimed>) {
+        if self.progress.is_some() {
+            self.batch_states += 1;
+            self.batch_depth = self.batch_depth.max(item.depth as u64);
+            if self.batch_states >= PROGRESS_BATCH {
+                self.flush_progress();
+            }
+        }
+        let Claimed {
+            machine,
+            counter,
+            depth,
+            key,
+        } = item;
+        let choices = machine.choice_count();
+        debug_assert!(choices > 0, "non-quiescent machine must have events");
+        debug_assert!(choices < (1 << 16), "choice menu exceeds the log encoding");
+        let ample = if self.opts.por {
+            por::select_ample(&machine, &counter)
+        } else {
+            None
+        };
+        let partial = ample.is_some() && !self.flagged.contains(&key);
+        let range = if partial {
+            ample.clone().expect("partial implies ample")
+        } else {
+            0..choices
+        };
+        let record = self.log.len();
+        self.log.push(key);
+        // The memo key is the route key unless symmetry canonicalizes
+        // this state, so only a canonicalizing target hashes twice.
+        self.log.push(if self.opts.symmetry {
+            symmetry::canonical_key(&machine, &counter).unwrap_or(key)
+        } else {
+            key
+        });
+        self.log.push(0); // meta, patched below
+        let mut flags = 0u64;
+        if let Some(ample) = &ample {
+            flags |= FLAG_AMPLE;
+            self.log.push(ample.start as u64 | (ample.end as u64) << 32);
+        }
+        if partial {
+            flags |= FLAG_PARTIAL;
+        }
+        let mut logged = 0u64;
+        for choice in range {
+            match make_child(&machine, &counter, choice) {
+                Child::Pruned(code) => {
+                    self.log.push(TAG_PRUNED);
+                    self.log.push(code_tag(code));
+                }
+                Child::Open(next, next_counter) => {
+                    let effective = next_counter.as_ref().unwrap_or(&counter);
+                    if next.is_quiescent() {
+                        let deficit = effective.sessions() < self.s;
+                        self.log.push(TAG_QUIESCENT);
+                        self.log.push(u64::from(deficit));
+                    } else {
+                        let child_key = route_key(&next, effective);
+                        self.log.push(TAG_OPEN);
+                        self.log.push(child_key);
+                        self.claims += 1;
+                        if self.frontier.claim(child_key) {
+                            if depth + 1 >= self.max_depth {
+                                self.frontier.raise_cut();
+                            } else {
+                                stack.push(Claimed {
+                                    machine: next,
+                                    counter: next_counter.unwrap_or_else(|| counter.clone()),
+                                    depth: depth + 1,
+                                    key: child_key,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+            logged += 1;
+        }
+        self.log[record + 2] = logged | (choices as u64) << 16 | flags;
+    }
+
+    fn flush_progress(&mut self) {
+        if self.batch_states > 0 {
+            if let Some(board) = self.progress {
+                board.add_states(self.batch_states);
+                board.raise_depth(self.batch_depth);
+                board.set_frontier(self.frontier.pending.load(Ordering::Relaxed) as u64);
+            }
+            self.batch_states = 0;
+        }
+    }
+}
+
+/// What one worker hands back at the round join.
+struct WorkerRoundOut {
+    tally: Tally,
+    log: Vec<u64>,
+    prof: Option<Box<WorkerProfile>>,
+}
+
+/// One worker thread of a round: the [`work`] loop over an
+/// [`Expander`], with the flight recorder's bookkeeping around it.
+fn run_worker(
+    mut expander: Expander<'_>,
+    profile: bool,
+    epoch: Instant,
+    round: u64,
+) -> WorkerRoundOut {
+    let frontier = expander.frontier;
+    let mut prof = profile.then(|| Box::new(WorkerProfile::new()));
+    if let Some(board) = expander.progress {
+        board.worker_busy();
+    }
+    let tally = work(
+        frontier,
+        |item, stack| expander.expand(item, stack),
+        prof.as_deref_mut(),
+        epoch,
+        round,
+    );
+    expander.flush_progress();
+    if let Some(board) = expander.progress {
+        board.worker_idle();
+    }
+    if let Some(prof) = prof.as_deref_mut() {
+        prof.states = tally.expanded;
+        prof.items = expander.claims;
+        prof.route_send = tally.donated;
+        prof.route_recv = tally.taken;
+        prof.local_msgs = tally.kept;
+        prof.queue_full_spins = tally.empty_polls;
+        prof.seal();
+    }
+    WorkerRoundOut {
+        tally,
+        log: expander.log,
+        prof,
+    }
+}
 
 // ---------------------------------------------------------------------
 // The successor log: each expanded state appends one flat record
 //
 //   [route_key, memo_key, meta, (ample_word)?, tag0, payload0, ...]
 //
-// route_key = the plain key the state was routed by (record id);
+// route_key = the plain key the state was claimed by (record id);
 // memo_key  = the serial memo key the replay gates on
 // meta  = logged_children | total_choices << 16 | flags
 // flags = FLAG_AMPLE (an ample range follows) | FLAG_PARTIAL (only the
@@ -374,452 +595,49 @@ enum RootEntry {
     Quiescent(bool),
 }
 
-/// Everything a round's workers share by reference.
-struct RoundShared<'a> {
-    /// `rings[from][to]`: the SPSC batch queue from worker `from` to
-    /// worker `to` (the diagonal is allocated but unused).
-    rings: Vec<Vec<SpscRing<Batch>>>,
-    control: Control,
-    /// States (by route key) whose full menu must be expanded this
-    /// round (POR proviso fixpoint flags). Read-only during the round.
-    flagged: &'a FxHashSet<u64>,
-}
+/// Bits of a packed record position that hold the offset in its log;
+/// the bits above hold the log (worker) index.
+const OFFSET_BITS: u32 = 48;
 
-impl<'a> RoundShared<'a> {
-    fn new(threads: usize, flagged: &'a FxHashSet<u64>) -> RoundShared<'a> {
-        RoundShared {
-            rings: (0..threads)
-                .map(|_| (0..threads).map(|_| SpscRing::new(RING_CAPACITY)).collect())
-                .collect(),
-            control: Control::new(threads),
-            flagged,
-        }
-    }
-}
-
-/// What one worker hands back at the round join.
-struct WorkerRoundOut {
-    states: u64,
-    items: u64,
-    drops: u64,
-    local_msgs: u64,
-    route_send: u64,
-    route_recv: u64,
-    queue_full_spins: u64,
-    memo_len: u64,
-    edges: Vec<u64>,
-    prof: Option<Box<WorkerProfile>>,
-}
-
-/// One shard owner: thread-local memo, FIFO work queue (breadth-ish
-/// order keeps first-arrival depths near the minimum, so the depth-cut
-/// guard stays quiet on spaces the serial explorer finishes), partial
-/// outgoing batches, Safra bookkeeping, and the successor log.
-struct OwnerWorker<'a, 'f> {
-    me: usize,
-    threads: usize,
-    s: u64,
-    max_depth: usize,
-    opts: ExploreOpts,
-    shared: &'a RoundShared<'f>,
-    memo: FxHashSet<u64>,
-    queue: VecDeque<RoutedState>,
-    outbox: Vec<Batch>,
-    token: TokenState,
-    edges: Vec<u64>,
-    states: u64,
-    items: u64,
-    drops: u64,
-    local_msgs: u64,
-    route_send: u64,
-    route_recv: u64,
-    queue_full_spins: u64,
-    prof: Option<Box<WorkerProfile>>,
-    epoch: Instant,
-    round: u64,
-    progress: Option<&'a ProgressBoard>,
-    batch_states: u64,
-    batch_depth: u64,
-}
-
-impl<'a, 'f> OwnerWorker<'a, 'f> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        me: usize,
-        threads: usize,
-        s: u64,
-        max_depth: usize,
-        opts: ExploreOpts,
-        shared: &'a RoundShared<'f>,
-        seeds: VecDeque<RoutedState>,
-        profile: bool,
-        epoch: Instant,
-        round: u64,
-        progress: Option<&'a ProgressBoard>,
-    ) -> OwnerWorker<'a, 'f> {
-        let mut memo = FxHashSet::default();
-        for seed in &seeds {
-            memo.insert(seed.key);
-        }
-        OwnerWorker {
-            me,
-            threads,
-            s,
-            max_depth,
-            opts,
-            shared,
-            memo,
-            queue: seeds,
-            outbox: (0..threads).map(|_| Batch::new()).collect(),
-            token: TokenState::new(),
-            edges: Vec::new(),
-            states: 0,
-            items: 0,
-            drops: 0,
-            local_msgs: 0,
-            route_send: 0,
-            route_recv: 0,
-            queue_full_spins: 0,
-            prof: profile.then(|| Box::new(WorkerProfile::new())),
-            epoch,
-            round,
-            progress,
-            batch_states: 0,
-            batch_depth: 0,
-        }
-    }
-
-    fn cut(&self) -> bool {
-        self.shared.control.cut.load(Ordering::Relaxed)
-    }
-
-    /// First-arrival filter: insert into the memo and enqueue, or drop.
-    /// An unvisited state arriving with no remaining depth budget raises
-    /// the global cut — the round's result would not be serial-exact.
-    fn accept(&mut self, msg: RoutedState) {
-        self.items += 1;
-        if !self.memo.insert(msg.key) {
-            self.drops += 1;
-            return;
-        }
-        if msg.depth >= self.max_depth {
-            self.shared.control.cut.store(true, Ordering::Release);
-            return;
-        }
-        self.queue.push_back(msg);
-    }
-
-    /// Drain every inbox completely. Returns whether anything arrived.
-    fn drain_inboxes(&mut self) -> bool {
-        // wslint: allow(ws001): flight profiler measures real elapsed time by design
-        let started = self.prof.as_ref().map(|_| Instant::now());
-        let mut any = false;
-        for from in 0..self.threads {
-            if from == self.me {
-                continue;
-            }
-            while let Some(batch) = self.shared.rings[from][self.me].try_pop() {
-                self.token.on_recv(batch.len());
-                self.route_recv += batch.len() as u64;
-                any = true;
-                for msg in batch {
-                    self.accept(msg);
-                }
-            }
-        }
-        if any {
-            if let (Some(prof), Some(started)) = (self.prof.as_deref_mut(), started) {
-                prof.route_recv_ns += nanos(started.elapsed());
-                if prof.inbox_depth.len() < crate::profile::FLIGHT_BUFFER_CAP {
-                    let pending: usize = (0..self.threads)
-                        .filter(|&from| from != self.me)
-                        .map(|from| self.shared.rings[from][self.me].len())
-                        .sum();
-                    prof.inbox_depth
-                        .push((nanos(self.epoch.elapsed()), pending as u64));
-                }
-            }
-            if let Some(board) = self.progress {
-                board.set_frontier(self.queue.len() as u64);
-            }
-        }
-        any
-    }
-
-    /// Route one open successor to its owner (or straight onto the local
-    /// queue when this worker owns it).
-    fn route_child(
-        &mut self,
-        next: AnyMachine,
-        next_counter: Option<SessionCounter>,
-        counter: &SessionCounter,
-        depth: usize,
-        key: u64,
-    ) {
-        let owner = owner_of(key, self.threads);
-        let msg = RoutedState {
-            machine: next,
-            counter: next_counter.unwrap_or_else(|| counter.clone()),
-            depth,
-            key,
-        };
-        if owner == self.me {
-            self.local_msgs += 1;
-            self.accept(msg);
-        } else {
-            self.outbox[owner].push(msg);
-            if self.outbox[owner].len() >= ROUTE_BATCH {
-                self.flush_dest(owner, true);
-            }
-        }
-    }
-
-    /// Push the partial batch for `dest`. With `block` set, spins until
-    /// the ring accepts it (draining own inboxes so the system keeps
-    /// moving); otherwise puts the batch back and reports failure.
-    fn flush_dest(&mut self, dest: usize, block: bool) -> bool {
-        if self.outbox[dest].is_empty() {
-            return true;
-        }
-        // wslint: allow(ws001): flight profiler measures real elapsed time by design
-        let started = self.prof.as_ref().map(|_| Instant::now());
-        let mut batch = std::mem::take(&mut self.outbox[dest]);
-        let len = batch.len();
-        loop {
-            match self.shared.rings[self.me][dest].try_push(batch) {
-                Ok(()) => {
-                    self.token.on_send(len);
-                    self.route_send += len as u64;
-                    if let (Some(prof), Some(started)) = (self.prof.as_deref_mut(), started) {
-                        prof.route_send_ns += nanos(started.elapsed());
-                    }
-                    return true;
-                }
-                Err(returned) => {
-                    batch = returned;
-                    self.queue_full_spins += 1;
-                    if self.cut() {
-                        // Round aborted: the batch no longer matters.
-                        return true;
-                    }
-                    if !block {
-                        self.outbox[dest] = batch;
-                        if let (Some(prof), Some(started)) = (self.prof.as_deref_mut(), started)
-                        {
-                            prof.route_send_ns += nanos(started.elapsed());
-                        }
-                        return false;
-                    }
-                    self.drain_inboxes();
-                    yield_now();
-                }
-            }
-        }
-    }
-
-    /// Try to flush every partial batch without blocking.
-    fn flush_all(&mut self) -> bool {
-        let mut flushed = true;
-        for dest in 0..self.threads {
-            if dest != self.me {
-                flushed &= self.flush_dest(dest, false);
-            }
-        }
-        flushed
-    }
-
-    /// Expand one owned state: walk its menu (ample-only under POR
-    /// unless flagged for full expansion), log the annotated successor
-    /// record, and route the open children.
-    fn expand_state(&mut self, item: RoutedState) {
-        self.states += 1;
-        if self.progress.is_some() {
-            self.batch_states += 1;
-            self.batch_depth = self.batch_depth.max(item.depth as u64);
-            if self.batch_states >= PROGRESS_BATCH {
-                self.flush_progress();
-            }
-        }
-        let RoutedState {
-            machine,
-            counter,
-            depth,
-            key,
-        } = item;
-        let choices = machine.choice_count();
-        debug_assert!(choices > 0, "non-quiescent machine must have events");
-        debug_assert!(choices < (1 << 16), "choice menu exceeds the log encoding");
-        let ample = if self.opts.por {
-            por::select_ample(&machine, &counter)
-        } else {
-            None
-        };
-        let partial = ample.is_some() && !self.shared.flagged.contains(&key);
-        let range = if partial {
-            ample.clone().expect("partial implies ample")
-        } else {
-            0..choices
-        };
-        let record = self.edges.len();
-        self.edges.push(key);
-        // With symmetry off the memo key IS the route key; only the
-        // canonicalizing reduction makes them diverge.
-        self.edges.push(if self.opts.symmetry {
-            state_key(&machine, &counter, true)
-        } else {
-            key
-        });
-        self.edges.push(0); // meta, patched below
-        let mut flags = 0u64;
-        if let Some(ample) = &ample {
-            flags |= FLAG_AMPLE;
-            self.edges
-                .push(ample.start as u64 | (ample.end as u64) << 32);
-        }
-        if partial {
-            flags |= FLAG_PARTIAL;
-        }
-        let mut logged = 0u64;
-        for choice in range {
-            match make_child(&machine, &counter, choice) {
-                Child::Pruned(code) => {
-                    self.edges.push(TAG_PRUNED);
-                    self.edges.push(code_tag(code));
-                }
-                Child::Open(next, next_counter) => {
-                    let effective = next_counter.as_ref().unwrap_or(&counter);
-                    if next.is_quiescent() {
-                        let deficit = effective.sessions() < self.s;
-                        self.edges.push(TAG_QUIESCENT);
-                        self.edges.push(u64::from(deficit));
-                    } else {
-                        let child_key = route_key(&next, effective);
-                        self.edges.push(TAG_OPEN);
-                        self.edges.push(child_key);
-                        self.route_child(next, next_counter, &counter, depth + 1, child_key);
-                    }
-                }
-            }
-            logged += 1;
-        }
-        self.edges[record + 2] = logged | (choices as u64) << 16 | flags;
-    }
-
-    fn flush_progress(&mut self) {
-        if self.batch_states > 0 {
-            if let Some(board) = self.progress {
-                board.add_states(self.batch_states);
-                board.raise_depth(self.batch_depth);
-            }
-            self.batch_states = 0;
-        }
-    }
-
-    fn run(mut self) -> WorkerRoundOut {
-        if let Some(board) = self.progress {
-            board.worker_busy();
-        }
-        let mut since_poll = 0u32;
-        loop {
-            if self.shared.control.done.load(Ordering::Acquire) || self.cut() {
-                break;
-            }
-            // wslint: allow(ws001): flight profiler measures real elapsed time by design
-            let burst = self.prof.as_ref().map(|_| Instant::now());
-            let mut progressed = self.drain_inboxes();
-            while let Some(item) = self.queue.pop_front() {
-                self.expand_state(item);
-                progressed = true;
-                since_poll += 1;
-                if since_poll >= POLL_EVERY {
-                    since_poll = 0;
-                    self.drain_inboxes();
-                }
-                if self.cut() {
-                    break;
-                }
-            }
-            if self.cut() {
-                break;
-            }
-            if progressed {
-                if let (Some(prof), Some(burst)) = (self.prof.as_deref_mut(), burst) {
-                    let end = nanos(self.epoch.elapsed());
-                    let start = nanos(burst.duration_since(self.epoch));
-                    prof.busy_ns += end.saturating_sub(start);
-                    prof.timeline.push(TimelineSpan {
-                        name: "work",
-                        start_ns: start,
-                        end_ns: end,
-                        detail: self.round,
-                    });
-                }
-                continue;
-            }
-            if !self.flush_all() {
-                continue;
-            }
-            if self.token.try_pass(&self.shared.control, self.me) {
-                break;
-            }
-            if let (Some(prof), Some(burst)) = (self.prof.as_deref_mut(), burst) {
-                prof.idle_ns += nanos(burst.elapsed());
-            }
-            yield_now();
-        }
-        self.flush_progress();
-        if let Some(board) = self.progress {
-            board.worker_idle();
-        }
-        if let Some(prof) = self.prof.as_deref_mut() {
-            prof.states = self.states;
-            prof.items = self.items;
-            prof.route_send = self.route_send;
-            prof.route_recv = self.route_recv;
-            prof.local_msgs = self.local_msgs;
-            prof.queue_full_spins = self.queue_full_spins;
-            prof.seal();
-        }
-        WorkerRoundOut {
-            states: self.states,
-            items: self.items,
-            drops: self.drops,
-            local_msgs: self.local_msgs,
-            route_send: self.route_send,
-            route_recv: self.route_recv,
-            queue_full_spins: self.queue_full_spins,
-            memo_len: self.memo.len() as u64,
-            edges: self.edges,
-            prof: self.prof,
-        }
-    }
-}
-
-/// The merged successor log of one round, indexed by route key.
+/// One round's successor logs, left where the workers wrote them and
+/// indexed by route key. Each position packs (log, offset) into a word,
+/// so the join never copies a log.
 struct Graph {
-    data: Vec<u64>,
-    index: FxHashMap<u64, usize>,
+    logs: Vec<Vec<u64>>,
+    index: FxHashMap<u64, u64>,
 }
 
 impl Graph {
     fn build(logs: Vec<Vec<u64>>) -> Graph {
-        let total: usize = logs.iter().map(Vec::len).sum();
-        let mut data = Vec::with_capacity(total);
-        for log in logs {
-            data.extend(log);
-        }
+        let words: usize = logs.iter().map(Vec::len).sum();
         let mut index = FxHashMap::default();
-        index.reserve(total / 8);
-        let mut i = 0;
-        while i < data.len() {
-            let key = data[i];
-            let meta = data[i + 2];
-            let logged = (meta & 0xffff) as usize;
-            let has_ample = meta & FLAG_AMPLE != 0;
-            index.insert(key, i);
-            i += 3 + usize::from(has_ample) + 2 * logged;
+        index.reserve(words / 8);
+        for (id, log) in logs.iter().enumerate() {
+            let mut at = 0;
+            while at < log.len() {
+                let meta = log[at + 2];
+                let logged = (meta & 0xffff) as usize;
+                let has_ample = meta & FLAG_AMPLE != 0;
+                debug_assert!(
+                    (at as u64) < 1 << OFFSET_BITS,
+                    "log exceeds the index encoding"
+                );
+                index.insert(log[at], (id as u64) << OFFSET_BITS | at as u64);
+                at += 3 + usize::from(has_ample) + 2 * logged;
+            }
         }
-        Graph { data, index }
+        Graph { logs, index }
+    }
+
+    /// The record of `route`, running on to the end of its log.
+    fn record(&self, route: u64) -> &[u64] {
+        let Some(&at) = self.index.get(&route) else {
+            // Every open edge targets an expanded state in a cut-free
+            // round; an absent record means the log is corrupt.
+            unreachable!("state {route:#x} expanded by no worker");
+        };
+        let offset = (at & ((1 << OFFSET_BITS) - 1)) as usize;
+        &self.logs[(at >> OFFSET_BITS) as usize][offset..]
     }
 }
 
@@ -894,12 +712,9 @@ impl<'g> Replay<'g> {
             complete: true,
             closed_cycle: false,
         };
-        let Some(&record) = self.graph.index.get(&route) else {
-            // Every open edge targets an expanded state in a cut-free
-            // round; an absent record means the log is corrupt.
-            unreachable!("state {route:#x} expanded by no worker");
-        };
-        let memo_key = self.graph.data[record + 1];
+        let graph = self.graph;
+        let record = graph.record(route);
+        let memo_key = record[1];
         if self.on_path.contains(&memo_key) {
             self.codes.insert(LintCode::NonTermination);
             return ReplayOutcome {
@@ -953,13 +768,13 @@ impl<'g> Replay<'g> {
 
     /// One logged child: a pruned edge records its code, a quiescent
     /// edge records its baked `SA001` verdict, an open edge recurses.
-    fn child(&mut self, base: usize, i: usize, depth: usize) -> ReplayOutcome {
+    fn child(&mut self, children: &[u64], i: usize, depth: usize) -> ReplayOutcome {
         let done = ReplayOutcome {
             complete: true,
             closed_cycle: false,
         };
-        let tag = self.graph.data[base + 2 * i];
-        let payload = self.graph.data[base + 2 * i + 1];
+        let tag = children[2 * i];
+        let payload = children[2 * i + 1];
         match tag {
             TAG_PRUNED => {
                 self.codes.insert(code_from_tag(payload));
@@ -976,27 +791,27 @@ impl<'g> Replay<'g> {
         }
     }
 
-    fn expand(&mut self, route: u64, record: usize, depth: usize) -> bool {
-        let meta = self.graph.data[record + 2];
+    fn expand(&mut self, route: u64, record: &[u64], depth: usize) -> bool {
+        let meta = record[2];
         let logged = (meta & 0xffff) as usize;
         let choices = ((meta >> 16) & 0xffff) as usize;
         let has_ample = meta & FLAG_AMPLE != 0;
         let partial = meta & FLAG_PARTIAL != 0;
-        let mut base = record + 3;
-        let ample = if has_ample {
-            let word = self.graph.data[base];
-            base += 1;
-            Some(Range {
+        let (ample, start) = if has_ample {
+            let word = record[3];
+            let range = Range {
                 start: (word & 0xffff_ffff) as usize,
                 end: (word >> 32) as usize,
-            })
+            };
+            (Some(range), 4)
         } else {
-            None
+            (None, 3)
         };
+        let children = &record[start..];
         let Some(ample) = ample else {
             let mut complete = true;
             for i in 0..logged {
-                complete &= self.child(base, i, depth).complete;
+                complete &= self.child(children, i, depth).complete;
             }
             return complete;
         };
@@ -1011,7 +826,7 @@ impl<'g> Replay<'g> {
         let mut complete = true;
         let mut closed_cycle = false;
         for i in lo..hi {
-            let outcome = self.child(base, i, depth);
+            let outcome = self.child(children, i, depth);
             complete &= outcome.complete;
             closed_cycle |= outcome.closed_cycle;
         }
@@ -1024,7 +839,7 @@ impl<'g> Replay<'g> {
                 self.needs_full.insert(route);
             } else {
                 for i in (0..ample.start).chain(ample.end..logged) {
-                    complete &= self.child(base, i, depth).complete;
+                    complete &= self.child(children, i, depth).complete;
                 }
             }
         } else {
@@ -1034,31 +849,28 @@ impl<'g> Replay<'g> {
     }
 }
 
-/// Everything Phase A hands the orchestrator when the ownership walk
-/// finished cut-free: serial-exact verdict inputs plus routing totals.
-pub(crate) struct PartitionRun {
-    pub(crate) codes: BTreeSet<LintCode>,
-    pub(crate) states: u64,
-    pub(crate) depth_hits: u64,
-    pub(crate) pruned: u64,
-    pub(crate) memo_hits: u64,
-    pub(crate) memo_misses: u64,
-    pub(crate) duplicates: u64,
-    pub(crate) unique_states: u64,
-    pub(crate) rounds: u64,
-    pub(crate) route_send: u64,
-    pub(crate) route_recv: u64,
-    pub(crate) local_msgs: u64,
-    pub(crate) queue_full_spins: u64,
-    pub(crate) replay_ns: u64,
-    pub(crate) workers: Option<Vec<WorkerProfile>>,
+/// Everything Phase A hands the orchestrator when the claim walk
+/// finished cut-free: serial-exact verdict inputs plus activity totals.
+struct PartitionRun {
+    codes: BTreeSet<LintCode>,
+    states: u64,
+    depth_hits: u64,
+    pruned: u64,
+    memo_hits: u64,
+    memo_misses: u64,
+    duplicates: u64,
+    unique_states: u64,
+    rounds: u64,
+    tally: Tally,
+    replay_ns: u64,
+    workers: Option<Vec<WorkerProfile>>,
 }
 
-/// Runs the hash-partitioned ownership exploration: rounds of parallel
-/// walk + serial replay, to the POR fixpoint. Returns `None` when a
-/// depth cut fired — the caller must fall back to the serial explorer.
+/// Runs the claim-table exploration: rounds of parallel walk + serial
+/// replay, to the POR fixpoint. Returns `None` when a depth cut fired —
+/// the caller must fall back to the serial explorer.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn explore_partitioned(
+fn explore_partitioned(
     roots: &[AnyMachine],
     n: usize,
     s: u64,
@@ -1072,85 +884,79 @@ pub(crate) fn explore_partitioned(
     debug_assert!(threads >= 1);
     let mut flagged: FxHashSet<u64> = FxHashSet::default();
     let mut rounds = 0u64;
-    let mut route_send = 0u64;
-    let mut route_recv = 0u64;
-    let mut local_msgs = 0u64;
-    let mut queue_full_spins = 0u64;
+    let mut total = Tally::default();
     let mut replay_ns = 0u64;
     let mut workers: Option<Vec<WorkerProfile>> = None;
     loop {
         rounds += 1;
+        let frontier = Frontier::new();
         let mut root_entries = Vec::with_capacity(roots.len());
-        let mut seeds: Vec<VecDeque<RoutedState>> =
-            (0..threads).map(|_| VecDeque::new()).collect();
-        let mut seeded: FxHashSet<u64> = FxHashSet::default();
+        let mut seeds = Vec::new();
         for root in roots {
             let counter = SessionCounter::new(n, s);
             if root.is_quiescent() {
                 root_entries.push(RootEntry::Quiescent(counter.sessions() < s));
-            } else {
-                let key = route_key(root, &counter);
-                root_entries.push(RootEntry::Open(key));
-                if seeded.insert(key) {
-                    if max_depth == 0 {
-                        return None;
-                    }
-                    seeds[owner_of(key, threads)].push_back(RoutedState {
-                        machine: root.clone(),
-                        counter,
-                        depth: 0,
-                        key,
-                    });
+                continue;
+            }
+            let key = route_key(root, &counter);
+            root_entries.push(RootEntry::Open(key));
+            if frontier.claim(key) {
+                if max_depth == 0 {
+                    return None;
                 }
+                seeds.push(Claimed {
+                    machine: root.clone(),
+                    counter,
+                    depth: 0,
+                    key,
+                });
             }
         }
-        let shared = RoundShared::new(threads, &flagged);
-        let mut outs: Vec<WorkerRoundOut> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = seeds
-                .drain(..)
-                .enumerate()
-                .map(|(me, seed)| {
-                    let shared = &shared;
-                    scope.spawn(move || {
-                        OwnerWorker::new(
-                            me, threads, s, max_depth, opts, shared, seed, profile, epoch,
-                            rounds - 1, progress,
-                        )
-                        .run()
-                    })
+        frontier.seed(seeds);
+        let outs: Vec<WorkerRoundOut> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let expander = Expander {
+                        frontier: &frontier,
+                        flagged: &flagged,
+                        s,
+                        max_depth,
+                        opts,
+                        log: Vec::new(),
+                        claims: 0,
+                        progress,
+                        batch_states: 0,
+                        batch_depth: 0,
+                    };
+                    scope.spawn(move || run_worker(expander, profile, epoch, rounds - 1))
                 })
                 .collect();
-            for handle in handles {
-                outs.push(handle.join().expect("partition worker panicked"));
-            }
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("partition worker panicked"))
+                .collect()
         });
-        if shared.control.cut.load(Ordering::Acquire) {
+        if frontier.is_cut() {
             return None;
         }
-        let mut accepted = 0u64;
         let mut expanded = 0u64;
         let mut logs = Vec::with_capacity(outs.len());
         for (id, out) in outs.into_iter().enumerate() {
-            route_send += out.route_send;
-            route_recv += out.route_recv;
-            local_msgs += out.local_msgs;
-            queue_full_spins += out.queue_full_spins;
-            accepted += out.memo_len;
-            expanded += out.states;
-            let _ = (out.items, out.drops);
-            logs.push(out.edges);
+            total.add(out.tally);
+            expanded += out.tally.expanded;
+            logs.push(out.log);
             if let Some(prof) = out.prof {
-                let slots = workers.get_or_insert_with(|| {
-                    (0..threads).map(|_| WorkerProfile::new()).collect()
-                });
+                let slots = workers
+                    .get_or_insert_with(|| (0..threads).map(|_| WorkerProfile::new()).collect());
                 slots[id].absorb(*prof);
             }
         }
         debug_assert_eq!(
-            expanded, accepted,
-            "first-arrival ownership: every accepted state expanded exactly once"
+            expanded,
+            frontier.claimed() as u64,
+            "claim table: every claimed state expanded exactly once"
         );
+        drop(frontier);
         let graph = Graph::build(logs);
         // wslint: allow(ws001): flight profiler measures real elapsed time by design
         let replay_started = Instant::now();
@@ -1181,248 +987,154 @@ pub(crate) fn explore_partitioned(
             unique_states: replay.memo.len() as u64,
             codes: replay.codes,
             rounds,
-            route_send,
-            route_recv,
-            local_msgs,
-            queue_full_spins,
+            tally: total,
             replay_ns,
             workers,
         });
     }
 }
 
+/// The claim-table parallel explorer behind `ExploreOpts { threads > 1 }`
+/// — see the module docs for the phase split. Every field of the
+/// returned [`Exploration`] (codes, witness roots, witness paths,
+/// `states`, `truncated`, `depth_hits`, reduction stats) is
+/// bit-identical to [`crate::explore::explore_recorded_opts`] at
+/// `threads = 1`.
+///
+/// The flight recorder rides along: when `flight.profile` is set, the
+/// per-worker [`ExploreProfile`] is returned alongside the (unchanged)
+/// exploration; when `flight.progress` carries a board, workers publish
+/// batched progress to it. Neither influences a single exploration
+/// decision.
+#[allow(clippy::cast_precision_loss)]
+pub(crate) fn explore_parallel_flight(
+    roots: &[AnyMachine],
+    n: usize,
+    s: u64,
+    max_depth: usize,
+    opts: ExploreOpts,
+    recorder: &mut dyn Recorder,
+    flight: &FlightOpts,
+) -> (Exploration, Option<ExploreProfile>) {
+    debug_assert!(opts.threads > 1);
+    // wslint: allow(ws001): flight profiler measures real elapsed time by design
+    let epoch = Instant::now();
+    let progress = flight.progress.as_deref();
+
+    let Some(mut run) = explore_partitioned(
+        roots,
+        n,
+        s,
+        max_depth,
+        opts,
+        flight.profile,
+        progress,
+        epoch,
+    ) else {
+        // A depth cut fired: the space is truncated at this budget, and
+        // the serial `truncated` verdict is visit-order-dependent. Run
+        // the serial explorer for exact fidelity (DESIGN.md §13).
+        let serial = ExploreOpts { threads: 1, ..opts };
+        let (exploration, profile) =
+            crate::explore::explore_flight(roots, n, s, max_depth, serial, recorder, flight);
+        let profile = profile.map(|mut profile| {
+            profile.threads = opts.threads;
+            profile.fallback = true;
+            profile
+        });
+        return (exploration, profile);
+    };
+    let pre_b_ns = nanos(epoch.elapsed());
+    let phase_a_ns = pre_b_ns.saturating_sub(run.replay_ns);
+
+    // Phase B: canonical witnesses, serially — free when nothing fired.
+    // wslint: allow(ws001): flight profiler measures real elapsed time by design
+    let phase_b_started = Instant::now();
+    let violations = explore_witnesses(roots, n, s, max_depth, opts, &run.codes);
+    let phase_b_ns = nanos(phase_b_started.elapsed());
+    debug_assert_eq!(
+        violations.len(),
+        run.codes.len(),
+        "witness re-derivation must find every code Phase A found"
+    );
+
+    let tally = run.tally;
+    if recorder.is_enabled() {
+        recorder.counter("explore.memo_hits", run.memo_hits);
+        recorder.counter("explore.memo_misses", run.memo_misses);
+        recorder.counter("explore.pruned_choices", run.pruned);
+        recorder.counter("explore.duplicate_expansions", run.duplicates);
+        recorder.counter("explore.route_send", tally.donated);
+        recorder.counter("explore.route_recv", tally.taken);
+        recorder.counter("explore.local_msgs", tally.kept);
+        recorder.counter("explore.queue_full_spins", tally.empty_polls);
+        recorder.counter("explore.rounds", run.rounds);
+        recorder.gauge("explore.states", run.states as f64);
+        recorder.gauge("explore.memo_entries", run.unique_states as f64);
+        recorder.gauge("explore.threads", opts.threads as f64);
+        let kept_or_donated = tally.kept + tally.donated;
+        if kept_or_donated > 0 {
+            recorder.gauge(
+                "explore.owner_local_ratio",
+                tally.kept as f64 / kept_or_donated as f64,
+            );
+        }
+        let elapsed = epoch.elapsed().as_secs_f64();
+        if elapsed > 0.0 {
+            recorder.gauge("explore.states_per_sec", run.states as f64 / elapsed);
+        }
+        if let Some(workers) = &run.workers {
+            let expand: u64 = workers.iter().map(|w| w.expand_ns).sum();
+            let idle: u64 = workers.iter().map(|w| w.idle_ns).sum();
+            recorder.counter("explore.expand_ns", expand);
+            recorder.counter("explore.idle_ns", idle);
+            recorder.gauge("explore.phase_a_ms", phase_a_ns as f64 / 1e6);
+            recorder.gauge("explore.replay_ms", run.replay_ns as f64 / 1e6);
+            recorder.gauge("explore.phase_b_ms", phase_b_ns as f64 / 1e6);
+        }
+    }
+
+    let profile = run.workers.take().map(|workers| ExploreProfile {
+        target: String::new(),
+        n,
+        s,
+        threads: opts.threads,
+        max_depth,
+        por: opts.por,
+        symmetry: opts.symmetry,
+        states: run.states,
+        unique_states: run.unique_states,
+        duplicate_expansions: run.duplicates,
+        route_send: tally.donated,
+        route_recv: tally.taken,
+        local_msgs: tally.kept,
+        queue_full_spins: tally.empty_polls,
+        rounds: run.rounds,
+        fallback: false,
+        wall_ns: nanos(epoch.elapsed()),
+        phase_a_ns,
+        replay_ns: run.replay_ns,
+        phase_b_ns,
+        workers,
+    });
+
+    let exploration = Exploration {
+        states: run.states,
+        violations,
+        truncated: run.depth_hits > 0,
+        depth_hits: run.depth_hits,
+        stats: ReductionStats {
+            pruned: run.pruned,
+            memo_hits: run.memo_hits,
+        },
+    };
+    (exploration, profile)
+}
+
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
-
-    #[test]
-    fn owner_map_is_deterministic_and_in_range() {
-        for threads in [1usize, 2, 3, 8, 64] {
-            for key in (0..10_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) {
-                let owner = owner_of(key, threads);
-                assert!(owner < threads);
-                assert_eq!(owner, owner_of(key, threads));
-            }
-        }
-    }
-
-    #[test]
-    fn owner_map_spreads_keys_roughly_evenly() {
-        let threads = 8;
-        let mut counts = vec![0u64; threads];
-        for i in 0..80_000u64 {
-            counts[owner_of(i.wrapping_mul(0x517c_c1b7_2722_0a95), threads)] += 1;
-        }
-        for &count in &counts {
-            assert!((8_000..12_000).contains(&count), "skewed shard: {counts:?}");
-        }
-    }
-
-    #[test]
-    fn ring_is_fifo_and_bounded() {
-        let ring = SpscRing::new(2);
-        assert!(ring.try_push(1u32).is_ok());
-        assert!(ring.try_push(2).is_ok());
-        assert_eq!(ring.try_push(3), Err(3), "full ring rejects");
-        assert_eq!(ring.try_pop(), Some(1));
-        assert!(ring.try_push(3).is_ok(), "freed slot accepts");
-        assert_eq!(ring.try_pop(), Some(2));
-        assert_eq!(ring.try_pop(), Some(3));
-        assert_eq!(ring.try_pop(), None);
-        assert_eq!(ring.len(), 0);
-    }
-
-    #[test]
-    fn ring_survives_a_cross_thread_stress_run() {
-        const COUNT: u64 = 100_000;
-        let ring = Arc::new(SpscRing::new(4));
-        let producer = {
-            let ring = Arc::clone(&ring);
-            std::thread::spawn(move || {
-                for value in 0..COUNT {
-                    let mut v = value;
-                    loop {
-                        match ring.try_push(v) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                v = back;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            })
-        };
-        let mut expected = 0u64;
-        while expected < COUNT {
-            if let Some(value) = ring.try_pop() {
-                assert_eq!(value, expected, "FIFO order violated");
-                expected += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        producer.join().expect("producer");
-        assert_eq!(ring.try_pop(), None);
-    }
-
-    #[test]
-    fn token_terminates_a_single_worker_ring() {
-        let control = Control::new(1);
-        let mut state = TokenState::new();
-        // First pass consumes the initial black token and starts a
-        // white round (to itself); the second pass may declare done.
-        assert!(!state.try_pass(&control, 0));
-        assert!(state.try_pass(&control, 0));
-        assert!(control.done.load(Ordering::Acquire));
-    }
-
-    /// A 4-worker synthetic router: worker threads expand a binary tree
-    /// of `u64` keys, routing each child to its owner, deduplicating on
-    /// first arrival, and terminating via the Safra token. Exercises
-    /// exactly the production loop shape (drain → expand → flush → token)
-    /// with racing producers; asserts no successor is lost and the token
-    /// never declares quiescence while work remains.
-    #[test]
-    fn synthetic_router_loses_nothing_and_terminates() {
-        const THREADS: usize = 4;
-        const NODES: u64 = 40_000;
-        let rings: Vec<Vec<SpscRing<Vec<u64>>>> = (0..THREADS)
-            .map(|_| (0..THREADS).map(|_| SpscRing::new(8)).collect())
-            .collect();
-        let control = Control::new(THREADS);
-        let total = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for me in 0..THREADS {
-                let rings = &rings;
-                let control = &control;
-                let total = &total;
-                scope.spawn(move || {
-                    let mut memo = FxHashSet::default();
-                    let mut queue: VecDeque<u64> = VecDeque::new();
-                    let mut outbox: Vec<Vec<u64>> = (0..THREADS).map(|_| Vec::new()).collect();
-                    let mut token = TokenState::new();
-                    let mut expanded = 0u64;
-                    if owner_of(0, THREADS) == me {
-                        memo.insert(0);
-                        queue.push_back(0);
-                    }
-                    // Mirrors `OwnerWorker::route_child` + `flush_dest`:
-                    // a blocked producer must drain its own inboxes while
-                    // it spins, or two workers pushing to each other over
-                    // full rings would livelock.
-                    let route = |key: u64,
-                                 memo: &mut FxHashSet<u64>,
-                                 queue: &mut VecDeque<u64>,
-                                 outbox: &mut Vec<Vec<u64>>,
-                                 token: &mut TokenState| {
-                        let owner = owner_of(key, THREADS);
-                        if owner == me {
-                            if memo.insert(key) {
-                                queue.push_back(key);
-                            }
-                        } else {
-                            outbox[owner].push(key);
-                            if outbox[owner].len() >= 16 {
-                                let mut batch = std::mem::take(&mut outbox[owner]);
-                                let len = batch.len();
-                                loop {
-                                    match rings[me][owner].try_push(batch) {
-                                        Ok(()) => {
-                                            token.on_send(len);
-                                            break;
-                                        }
-                                        Err(back) => {
-                                            batch = back;
-                                            for from in 0..THREADS {
-                                                while let Some(got) = rings[from][me].try_pop() {
-                                                    token.on_recv(got.len());
-                                                    for key in got {
-                                                        if memo.insert(key) {
-                                                            queue.push_back(key);
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                            std::thread::yield_now();
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    };
-                    loop {
-                        if control.done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let mut progressed = false;
-                        for from in 0..THREADS {
-                            while let Some(batch) = rings[from][me].try_pop() {
-                                token.on_recv(batch.len());
-                                progressed = true;
-                                for key in batch {
-                                    if memo.insert(key) {
-                                        queue.push_back(key);
-                                    }
-                                }
-                            }
-                        }
-                        while let Some(key) = queue.pop_front() {
-                            expanded += 1;
-                            progressed = true;
-                            for child in [2 * key + 1, 2 * key + 2] {
-                                if child < NODES {
-                                    route(child, &mut memo, &mut queue, &mut outbox, &mut token);
-                                }
-                            }
-                        }
-                        if progressed {
-                            continue;
-                        }
-                        let mut flushed = true;
-                        for dest in 0..THREADS {
-                            if dest == me || outbox[dest].is_empty() {
-                                continue;
-                            }
-                            let mut batch = std::mem::take(&mut outbox[dest]);
-                            let len = batch.len();
-                            match rings[me][dest].try_push(batch) {
-                                Ok(()) => token.on_send(len),
-                                Err(back) => {
-                                    batch = back;
-                                    let _ = len;
-                                    outbox[dest] = batch;
-                                    flushed = false;
-                                }
-                            }
-                        }
-                        if !flushed {
-                            continue;
-                        }
-                        if token.try_pass(control, me) {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                    // At the declared quiescence nothing may remain
-                    // anywhere this worker can see.
-                    assert!(queue.is_empty(), "worker {me} quit with local work");
-                    assert!(
-                        outbox.iter().all(Vec::is_empty),
-                        "worker {me} quit with unsent successors"
-                    );
-                    total.fetch_add(expanded, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(
-            total.load(Ordering::Relaxed),
-            NODES,
-            "every key expanded exactly once"
-        );
-    }
 
     #[test]
     fn edge_log_meta_roundtrips() {
@@ -1445,113 +1157,132 @@ mod tests {
             assert_eq!(code_from_tag(code_tag(code)), code);
         }
     }
+
+    #[test]
+    fn graph_indexes_records_in_every_log() {
+        // Two logs, one record each: key, memo key, meta (one open child).
+        let logs = vec![vec![11, 11, 1 | 1 << 16, TAG_OPEN, 22], vec![22, 99, 0]];
+        let graph = Graph::build(logs);
+        assert_eq!(graph.record(11)[..5], [11, 11, 1 | 1 << 16, TAG_OPEN, 22]);
+        assert_eq!(graph.record(22), [22, 99, 0]);
+    }
+
+    #[test]
+    fn donation_moves_the_oldest_half_only_into_an_empty_pool() {
+        let frontier: Frontier<u32> = Frontier::new();
+        let mut stack = vec![1, 2, 3, 4, 5];
+        assert_eq!(frontier.donate(&mut stack), 2);
+        assert_eq!(stack, [3, 4, 5]);
+        assert_eq!(frontier.donate(&mut stack), 0, "pool already holds work");
+        let mut other = Vec::new();
+        assert_eq!(frontier.take(&mut other), (1, 2), "half, rounded up");
+        assert_eq!(other, [1]);
+        assert_eq!(frontier.take(&mut other), (1, 1));
+        assert_eq!(other, [1, 2]);
+        assert_eq!(frontier.take(&mut other), (0, 0));
+    }
+
+    #[test]
+    fn pending_counts_claimed_states_until_expanded() {
+        let frontier: Frontier<u32> = Frontier::new();
+        assert!(frontier.claim(7));
+        frontier.seed(vec![7]);
+        assert!(!frontier.quiescent());
+        frontier.settle(3); // the root won three children
+        frontier.settle(1);
+        frontier.settle(0);
+        assert!(!frontier.quiescent(), "one child still pending");
+        frontier.settle(0);
+        frontier.settle(0);
+        assert!(frontier.quiescent());
+    }
+
+    /// Four workers run the production [`work`] loop over a synthetic
+    /// graph of `u64` keys: a binary tree plus cross edges, so claims
+    /// race and most nodes are reached more than once. Asserts that no
+    /// node is lost, none is expanded twice, and no worker sees
+    /// termination while a claimed node is still unexpanded.
+    #[test]
+    fn synthetic_claim_walk_loses_nothing_and_terminates() {
+        const THREADS: usize = 4;
+        const NODES: u64 = 40_000;
+        let frontier: Frontier<u64> = Frontier::new();
+        assert!(frontier.claim(0));
+        frontier.seed(vec![0]);
+        let expanded = AtomicU64::new(0);
+        let seen: Vec<AtomicBool> = (0..NODES).map(|_| AtomicBool::new(false)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                let (frontier, expanded, seen) = (&frontier, &expanded, &seen);
+                scope.spawn(move || {
+                    work(
+                        frontier,
+                        |key: u64, stack: &mut Vec<u64>| {
+                            let twice = seen[key as usize].swap(true, Ordering::Relaxed);
+                            assert!(!twice, "node {key} expanded twice");
+                            for child in [2 * key + 1, 2 * key + 2, (key * 7 + 3) % NODES] {
+                                // Claim a spread image of the id, so the
+                                // claims land in every stripe.
+                                let spread = child.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                                if child < NODES && frontier.claim(spread) {
+                                    stack.push(child);
+                                }
+                            }
+                            expanded.fetch_add(1, Ordering::Relaxed);
+                        },
+                        None,
+                        Instant::now(),
+                        0,
+                    );
+                    // Termination is final: every claim ever made has
+                    // been expanded by the time any worker sees it.
+                    assert_eq!(
+                        expanded.load(Ordering::Relaxed),
+                        frontier.claimed() as u64,
+                        "a worker quit with a claimed node unexpanded"
+                    );
+                });
+            }
+        });
+        assert_eq!(expanded.load(Ordering::Relaxed), NODES, "a node was lost");
+        assert!(seen.iter().all(|flag| flag.load(Ordering::Relaxed)));
+        assert!(frontier.quiescent());
+    }
 }
 
-/// Loom models for the routing ring and the termination token, built
-/// only under `RUSTFLAGS="--cfg loom"` (the CI `loom-memo` job). Each
-/// model is bounded — no unbounded spin loops — so loom can enumerate
-/// every interleaving.
+/// Loom models for the claim table, built only under
+/// `RUSTFLAGS="--cfg loom"` (the CI `loom-memo` job). Each model is
+/// bounded — no spin loops — so loom can enumerate its interleavings.
 #[cfg(all(test, loom))]
 mod loom_tests {
     use super::*;
     use loom::sync::Arc;
 
     #[test]
-    fn ring_loses_no_batches_under_a_racing_consumer() {
+    fn overlapping_claims_are_each_won_exactly_once() {
         loom::model(|| {
-            let ring = Arc::new(SpscRing::new(2));
-            let consumer = {
-                let ring = Arc::clone(&ring);
-                loom::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    for _ in 0..4 {
-                        if let Some(value) = ring.try_pop() {
-                            got.push(value);
-                        }
-                    }
-                    got
-                })
+            let frontier: Arc<Frontier<u64>> = Arc::new(Frontier::new());
+            // Small keys share a stripe and `u64::MAX` has the last
+            // one; 2 and 3 are claimed by both workers.
+            let claim_all = |frontier: &Frontier<u64>, keys: &[u64]| -> Vec<u64> {
+                keys.iter()
+                    .copied()
+                    .filter(|&key| frontier.claim(key))
+                    .collect()
             };
-            assert!(ring.try_push(1u32).is_ok());
-            assert!(ring.try_push(2).is_ok());
-            let mut got = consumer.join().expect("consumer");
-            while let Some(value) = ring.try_pop() {
-                got.push(value);
-            }
-            // No loss, no duplication, no reorder across the race.
-            assert_eq!(got, vec![1, 2]);
-        });
-    }
-
-    #[test]
-    fn ring_never_overruns_its_capacity() {
-        loom::model(|| {
-            let ring = Arc::new(SpscRing::new(1));
-            let consumer = {
-                let ring = Arc::clone(&ring);
-                loom::thread::spawn(move || ring.try_pop())
-            };
-            assert!(ring.try_push(7u32).is_ok());
-            // Whatever the consumer did, a second push either fits the
-            // freed slot or is refused — never a silent overwrite.
-            let second = ring.try_push(8);
-            let first = consumer.join().expect("consumer");
-            let mut seen: Vec<u32> = first.into_iter().collect();
-            while let Some(value) = ring.try_pop() {
-                seen.push(value);
-            }
-            match second {
-                Ok(()) => assert_eq!(seen, vec![7, 8]),
-                Err(8) => assert_eq!(seen, vec![7]),
-                Err(other) => panic!("push returned foreign value {other}"),
-            }
-        });
-    }
-
-    #[test]
-    fn token_never_declares_done_with_a_message_in_flight() {
-        loom::model(|| {
-            let control = Arc::new(Control::new(2));
-            let ring = Arc::new(SpscRing::new(2));
-            let processed = Arc::new(AtomicBool::new(false));
             let peer = {
-                let control = Arc::clone(&control);
-                let ring = Arc::clone(&ring);
-                let processed = Arc::clone(&processed);
-                loom::thread::spawn(move || {
-                    let mut state = TokenState::new();
-                    for _ in 0..5 {
-                        if control.done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        if ring.try_pop().is_some() {
-                            state.on_recv(1);
-                            processed.store(true, Ordering::Release);
-                        } else {
-                            let _ = state.try_pass(&control, 1);
-                        }
-                    }
-                })
+                let frontier = Arc::clone(&frontier);
+                loom::thread::spawn(move || claim_all(&frontier, &[3, u64::MAX, 2]))
             };
-            let mut state = TokenState::new();
-            ring.try_push(42u32).expect("empty ring");
-            state.on_send(1);
-            let mut declared = false;
-            for _ in 0..5 {
-                if state.try_pass(&control, 0) {
-                    declared = true;
-                    break;
-                }
-            }
-            peer.join().expect("peer");
-            if declared {
-                // Safra safety: termination implies the routed message
-                // was already received and processed.
-                assert!(
-                    processed.load(Ordering::Acquire),
-                    "done declared with a message still in flight"
-                );
-            }
+            let mut won = claim_all(&frontier, &[2, 3, 4]);
+            won.extend(peer.join().expect("peer"));
+            won.sort_unstable();
+            assert_eq!(
+                won,
+                vec![2, 3, 4, u64::MAX],
+                "each key won by exactly one worker"
+            );
+            assert_eq!(frontier.claimed(), 4);
         });
     }
 }

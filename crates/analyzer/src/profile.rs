@@ -1,16 +1,16 @@
 //! The explorer flight recorder: structured profiles of where an
 //! exploration spent its time (DESIGN.md §15).
 //!
-//! `BENCH_analyzer.json` showed the donation-era parallel explorer
-//! *losing* to the serial one, and the v1 profile said why: stripe-lock
-//! waits, duplicated expansions, donation churn. The ownership explorer
-//! (DESIGN.md §13) removed those mechanisms wholesale, so the v2
-//! profile records what replaced them: per-worker **routing** activity
-//! (messages sent to and received from peer shards, successors kept
-//! local, back-pressure spins on full rings), the POR fixpoint round
-//! count, and whether the run fell back to the serial explorer. The
-//! document serializes as the stable `analyzer-profile/v2` JSON plus a
-//! Perfetto trace with one track per worker.
+//! The v2 profile records, per worker of the claim-table explorer
+//! (DESIGN.md §13), how work moved: states donated to and taken from
+//! the shared pool, child claims kept on the worker's own stack, and
+//! idle polls of an empty pool. It also records the POR fixpoint round
+//! count and whether the run fell back to the serial explorer. Those
+//! fields keep the names of the earlier ownership-routing explorer the
+//! schema was written for (`route_send`, `route_recv`, `local_msgs`,
+//! `queue_full_spins`), so readers of `analyzer-profile/v2` need no
+//! change. The document serializes as that stable JSON plus a Perfetto
+//! trace with one track per worker.
 //!
 //! Profiling never changes findings: every hook is behind an `Option`
 //! that is `None` unless `profile=`/`progress=` asked for it, and the
@@ -54,40 +54,39 @@ impl FlightOpts {
 /// fixpoint re-rounds the per-round profiles are summed per worker id.
 #[derive(Clone, Debug)]
 pub struct WorkerProfile {
-    /// States this worker expanded (its shard of the space).
+    /// States this worker expanded (the claims it won).
     pub states: u64,
-    /// Routed arrivals this worker processed (accepted + dropped).
+    /// Child claims this worker attempted, won or lost.
     pub items: u64,
-    /// Time spent in work bursts (draining, expanding, routing).
+    /// Time spent in work bursts: from taking work off the pool until
+    /// the worker's own stack ran dry.
     pub busy_ns: u64,
-    /// Time spent idle: empty queue, empty inboxes, waiting on the
-    /// termination token.
+    /// Time spent idle: empty stack, polling the pool for work or for
+    /// termination.
     pub idle_ns: u64,
     /// Residual expansion time: `busy - route_send - route_recv`
-    /// (cloning machines, applying steps, firing lints, memo inserts —
-    /// the memo is a thread-local set, so probes are not split out).
+    /// (cloning machines, applying steps, firing lints, claims).
     pub expand_ns: u64,
-    /// Time pushing batches to peer rings, including back-pressure
-    /// spins.
+    /// Time donating states to the pool.
     pub route_send_ns: u64,
-    /// Time draining batches from peer rings.
+    /// Time taking states from the pool.
     pub route_recv_ns: u64,
-    /// Successor messages pushed to peer rings.
+    /// States this worker donated to the pool.
     pub route_send: u64,
-    /// Successor messages drained from peer rings.
+    /// States this worker took from the pool.
     pub route_recv: u64,
-    /// Successors this worker owned itself (never crossed a ring).
+    /// Child claims this worker won and kept on its own stack.
     pub local_msgs: u64,
-    /// Failed ring pushes: each is one spin of the back-pressure loop.
+    /// Idle polls that found the pool empty.
     pub queue_full_spins: u64,
-    /// Always zero for the ownership explorer (first-arrival dedup);
+    /// Always zero for the claim-table explorer (one winner per claim);
     /// the serial explorer counts its budget-growth re-walks here.
     pub duplicate_expansions: u64,
     /// One span per work burst, for the per-worker Perfetto track
     /// (`detail` = fixpoint round index).
     pub timeline: WorkerTimeline,
-    /// `(t_ns, pending_batches)` samples of this worker's inboxes,
-    /// taken when a drain found traffic.
+    /// `(t_ns, pool_depth)` samples: how many states the pool held each
+    /// time this worker took from it.
     pub inbox_depth: Vec<(u64, u64)>,
 }
 
@@ -144,14 +143,15 @@ impl WorkerProfile {
         self.seal();
     }
 
-    /// Fraction of this worker's successors it owned itself.
+    /// `local_msgs / (local_msgs + route_send)`: near 1 when this
+    /// worker's work rarely changed hands.
     #[allow(clippy::cast_precision_loss)]
     pub fn owner_local_ratio(&self) -> f64 {
-        let routed = self.local_msgs + self.route_send;
-        if routed == 0 {
+        let kept_or_donated = self.local_msgs + self.route_send;
+        if kept_or_donated == 0 {
             return 1.0;
         }
-        self.local_msgs as f64 / routed as f64
+        self.local_msgs as f64 / kept_or_donated as f64
     }
 }
 
@@ -173,23 +173,22 @@ pub struct ExploreProfile {
     pub por: bool,
     /// Whether symmetry reduction was on.
     pub symmetry: bool,
-    /// States expanded in Phase A, summed over workers and rounds. With
-    /// a single round this equals `unique_states` — each state is
-    /// expanded exactly once by its owner.
+    /// States the serial replay counted — the serial explorer's
+    /// `states`. The per-worker `states` are Phase A expansions.
     pub states: u64,
-    /// Distinct states in the final round's owner memos (the serial
-    /// explorer reports its memo size here).
+    /// Entries in the replay's memo (the serial explorer reports its
+    /// memo size here).
     pub unique_states: u64,
-    /// Zero for the ownership explorer by construction; the serial
-    /// explorer counts budget-growth re-walks.
+    /// Budget-growth re-walks of the replay (the serial explorer's
+    /// count).
     pub duplicate_expansions: u64,
-    /// Successor messages routed across shard boundaries.
+    /// States donated to the pool, all workers.
     pub route_send: u64,
-    /// Successor messages received across shard boundaries.
+    /// States taken from the pool, all workers.
     pub route_recv: u64,
-    /// Successors kept on their generating worker's own shard.
+    /// Child claims won and kept on the claimer's stack, all workers.
     pub local_msgs: u64,
-    /// Total back-pressure spins on full rings.
+    /// Idle polls that found the pool empty, all workers.
     pub queue_full_spins: u64,
     /// Phase A rounds (1 + POR proviso fixpoint re-rounds).
     pub rounds: u64,
@@ -197,7 +196,7 @@ pub struct ExploreProfile {
     pub fallback: bool,
     /// End-to-end wall clock (all phases), nanoseconds.
     pub wall_ns: u64,
-    /// Phase A (parallel ownership walk, all rounds) wall clock.
+    /// Phase A (parallel claim walk, all rounds) wall clock.
     pub phase_a_ns: u64,
     /// Serial replay over the logged key-graph, wall clock.
     pub replay_ns: u64,
@@ -321,24 +320,25 @@ impl ExploreProfile {
         worker.busy_ns as f64 / self.phase_a_ns as f64
     }
 
-    /// Fraction of all successors that never crossed a shard boundary.
+    /// `local_msgs / (local_msgs + route_send)` over all workers: near 1
+    /// when work rarely changed hands.
     #[allow(clippy::cast_precision_loss)]
     pub fn owner_local_ratio(&self) -> f64 {
-        let routed = self.local_msgs + self.route_send;
-        if routed == 0 {
+        let kept_or_donated = self.local_msgs + self.route_send;
+        if kept_or_donated == 0 {
             return 1.0;
         }
-        self.local_msgs as f64 / routed as f64
+        self.local_msgs as f64 / kept_or_donated as f64
     }
 
     /// A one-paragraph accounting summary (used by `bench_analyzer
-    /// --profile` and handy in tests): busy vs idle vs routing time and
-    /// the shard-locality ratio.
+    /// --profile` and handy in tests): busy vs idle vs pool time and
+    /// the share of claims never donated.
     #[allow(clippy::cast_precision_loss)]
     pub fn summary(&self) -> String {
         let busy: u64 = self.workers.iter().map(|w| w.busy_ns).sum();
         let idle: u64 = self.workers.iter().map(|w| w.idle_ns).sum();
-        let route: u64 = self
+        let pool: u64 = self
             .workers
             .iter()
             .map(|w| w.route_send_ns + w.route_recv_ns)
@@ -350,7 +350,7 @@ impl ExploreProfile {
         };
         format!(
             "threads={} states={} unique={} dup={} ({dup_pct:.1}%) \
-             busy_ms={:.1} idle_ms={:.1} route_ms={:.1} local={:.2} \
+             busy_ms={:.1} idle_ms={:.1} pool_ms={:.1} local={:.2} \
              rounds={} fallback={} phase_a_ms={:.1} phase_b_ms={:.1}",
             self.threads,
             self.states,
@@ -358,7 +358,7 @@ impl ExploreProfile {
             self.duplicate_expansions,
             busy as f64 / 1e6,
             idle as f64 / 1e6,
-            route as f64 / 1e6,
+            pool as f64 / 1e6,
             self.owner_local_ratio(),
             self.rounds,
             self.fallback,

@@ -1,12 +1,12 @@
-//! Differential harness: the ownership-partitioned parallel explorer
+//! Differential harness: the claim-table parallel explorer
 //! must be *bit-identical* to the serial one.
 //!
 //! `reduction_diff.rs` only demands code-set equality across reductions,
 //! because a reduction may legitimately find a violation along a
 //! different representative interleaving. The thread count is held to a
 //! stricter standard: the parallel explorer replays the serial DFS over
-//! the ownership walk's logged key-graph and re-derives its witnesses
-//! through the serial DFS (see `parallel.rs`), so not just the codes but
+//! the claim walk's logged key-graph and re-derives its witnesses
+//! through the serial DFS (see `partition.rs`), so not just the codes but
 //! the *witness roots, paths, messages, their order*, the truncation
 //! flag, the `states` count and the reduction stats must match the
 //! serial run exactly, at every thread count, under every reduction
@@ -15,9 +15,10 @@
 //! at 8 threads).
 
 use proptest::prelude::*;
-use session_analyzer::explore::{explore_with_opts, Exploration};
+use session_analyzer::explore::{explore_flight, explore_with_opts, Exploration};
 use session_analyzer::machine::{GapMode, SmAlgo, SmMachine};
-use session_analyzer::{scoped_target_space, ExploreOpts, TARGET_NAMES};
+use session_analyzer::{scoped_target_space, ExploreOpts, FlightOpts, TARGET_NAMES};
+use session_obs::NullRecorder;
 use session_smm::RelayProcess;
 use session_types::{Dur, Time, VarId};
 
@@ -76,7 +77,7 @@ fn findings(exploration: &Exploration) -> Vec<(String, usize, Vec<usize>, String
 }
 
 /// Asserts that `parallel` is the same exploration as `serial`, field by
-/// field: findings, truncation, and — the ownership explorer's headline
+/// field: findings, truncation, and — the parallel explorer's headline
 /// invariant — the `states` count and reduction stats.
 #[track_caller]
 fn assert_identical(serial: &Exploration, parallel: &Exploration, context: &str) {
@@ -151,7 +152,7 @@ fn witness_targets_are_thread_invariant() {
 
 /// A relay hosted as the only "port": relays never idle, so the machine
 /// can never quiesce, and its normalized state repeats after one cycle —
-/// the admissible lasso `SA005` names. Lassos are the cross-owner case
+/// the admissible lasso `SA005` names. Lassos are the cross-worker case
 /// the replay pass exists for (on-path detection is path-dependent), so
 /// the witness must survive every thread count bit for bit.
 #[test]
@@ -192,7 +193,7 @@ fn sa005_lasso_is_thread_invariant() {
 }
 
 /// One deeper exhaustive run (full default depth) on a target whose
-/// space is large enough for real routing to happen.
+/// space is large enough for real work sharing to happen.
 #[test]
 fn periodic_mp_is_thread_invariant_at_full_depth() {
     let name = "PeriodicMp";
@@ -217,6 +218,39 @@ fn periodic_mp_is_thread_invariant_at_full_depth() {
                 &format!("PeriodicMp reduce={label} threads={threads}"),
             );
         }
+    }
+}
+
+/// Exactly-once expansion on the bench headline: with symmetry refused
+/// for this identity-carrying target, the claim table must hand each of
+/// the 95,894 serial states to exactly one worker, in one round and
+/// with no serial fallback. Debug builds take minutes here; the release
+/// run (`cargo test --release --test parallel_diff`) carries it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "minutes in debug; runs under --release")]
+fn periodic_mp_phase_a_expands_each_state_once() {
+    const STATES: u64 = 95_894;
+    let space = scoped_target_space("PeriodicMp", 3, 3).expect("registered target");
+    let depth = space.scope.max_depth;
+    for threads in THREAD_COUNTS {
+        let (run, profile) = explore_flight(
+            &space.roots,
+            3,
+            3,
+            depth,
+            ExploreOpts {
+                threads,
+                ..ExploreOpts::reduced()
+            },
+            &mut NullRecorder,
+            &FlightOpts::profiled(),
+        );
+        let profile = profile.expect("a profiled flight yields a profile");
+        assert!(!profile.fallback, "threads={threads}: serial fallback");
+        assert_eq!(profile.rounds, 1, "threads={threads}: POR re-rounds");
+        assert_eq!(run.states, STATES, "threads={threads}: replayed states");
+        let expanded: u64 = profile.workers.iter().map(|w| w.states).sum();
+        assert_eq!(expanded, STATES, "threads={threads}: Phase A expansions");
     }
 }
 

@@ -40,7 +40,7 @@ const SLOW_TARGETS: [&str; 2] = ["SporadicMp", "NaiveSporadicMp"];
 
 /// The reduction combinations under test, paired with a label for
 /// failure messages: every reduction serially, then every reduction
-/// again on the hash-partitioned ownership explorer at 2 and 8 threads
+/// again on the claim-table parallel explorer at 2 and 8 threads
 /// — the thread count must preserve verdicts exactly like the
 /// reductions themselves, whichever reduction it is layered over.
 fn combos() -> Vec<(String, ExploreOpts)> {

@@ -2,8 +2,8 @@
 //! message-passing target at the headline scope (n = 3, s = 3) across a
 //! thread sweep and report states/second, the parallel speedup over the
 //! serial explorer, the findings multiset and the states count — both of
-//! which must be identical at every thread count (the ownership explorer
-//! replays the serial DFS over its logged key-graph, see
+//! which must be identical at every thread count (the claim-table
+//! explorer replays the serial DFS over its logged key-graph, see
 //! `session-analyzer`'s `partition` module).
 //!
 //! ```text
@@ -25,17 +25,19 @@
 //! the speedup gate is skipped (DESIGN.md §15).
 //!
 //! `--profile` reruns each row with the flight recorder on (DESIGN.md
-//! §15) and embeds the utilization/routing summary — worker busy
-//! fraction, route/local message split, queue-full spins, owner-local
-//! ratio, fixpoint rounds, phase split — per row in both the markdown
-//! and the JSON. `--large` adds an opt-in n = 4, s = 4 sweep (reduced;
+//! §15) and embeds the utilization/work-sharing summary — worker busy
+//! fraction, states donated vs claims kept, empty-pool polls, the
+//! kept ratio, fixpoint rounds, phase split — per row in both the
+//! markdown and the JSON. The JSON keeps the profile's field names
+//! (`route_send` = donated, `local_msgs` = kept, `queue_full_spins` =
+//! empty-pool polls). `--large` adds an opt-in n = 4, s = 4 sweep (reduced;
 //! the unreduced space at that scope is not bench-tractable).
 //!
 //! Exit status: `0` on success, `1` on any fatal gate:
 //!
 //! * findings/truncation diverging across thread counts,
 //! * `states(threads=N) != states(threads=1)` anywhere,
-//! * the ownership walk falling back to serial on the headline scope,
+//! * the claim walk falling back to serial on the headline scope,
 //! * 8-thread speedup below 2.0x on a host with >= 8 hardware threads
 //!   (`skewed=false`). Skewed hosts legitimately measure ≈1× and only
 //!   report; CI asserts the curve on its own hardware from the JSON.
@@ -82,7 +84,7 @@ struct BenchRow {
     flight: Option<FlightSummary>,
 }
 
-/// The utilization/routing digest `--profile` embeds per row, condensed
+/// The utilization/work-sharing digest `--profile` embeds per row, condensed
 /// from the full [`ExploreProfile`].
 struct FlightSummary {
     /// Busy ÷ (busy + idle) summed over workers, in `[0, 1]`.
@@ -92,12 +94,12 @@ struct FlightSummary {
     route_recv: u64,
     local_msgs: u64,
     queue_full_spins: u64,
-    /// Successors the expanding worker already owned, as a fraction of
-    /// all routed-or-local successors.
+    /// `local_msgs / (local_msgs + route_send)`: near 1 when work
+    /// rarely changed hands.
     owner_local_ratio: f64,
     /// POR proviso fixpoint rounds (1 on acyclic spaces).
     rounds: u64,
-    /// Whether the ownership walk cut and fell back to the serial
+    /// Whether the claim walk cut and fell back to the serial
     /// explorer (fatal on the headline scope).
     fallback: bool,
     phase_a_ms: f64,
@@ -263,7 +265,7 @@ fn main() {
         space.scope.max_depth
     );
     println!(
-        "Hash-partitioned ownership exploration vs the serial explorer;\n\
+        "Claim-table parallel exploration vs the serial explorer;\n\
          the findings multiset and the states count must be identical on\n\
          every row. Host reports {host_threads} hardware thread(s) —\n\
          speedups above 1 need more than one.\n"
@@ -309,7 +311,7 @@ fn main() {
     if profile {
         println!("\n## flight recorder (--profile)\n");
         println!(
-            "| reduce | n | threads | util | dup | routed (local) | spins | local ratio | rounds | fallback | phase A | replay | phase B |"
+            "| reduce | n | threads | util | dup | donated (kept) | empty polls | kept ratio | rounds | fallback | phase A | replay | phase B |"
         );
         println!("|---|---:|---:|---:|---:|---:|---:|---:|---:|---|---:|---:|---:|");
         for row in &rows {
@@ -336,7 +338,7 @@ fn main() {
     let mut fatal = false;
     // Correctness gates: neither the verdict nor the states count may
     // depend on the thread count — `states(threads=N) ==
-    // states(threads=1)` is the ownership explorer's headline invariant.
+    // states(threads=1)` is the parallel explorer's headline invariant.
     let labels: Vec<(&str, usize)> = {
         let mut seen = Vec::new();
         for row in &rows {
@@ -368,7 +370,7 @@ fn main() {
             }
         }
     }
-    // Ownership gate: the headline scope fits its depth budget, so the
+    // Fallback gate: the headline scope fits its depth budget, so the
     // walk must never cut to the serial fallback there. `--profile` rows
     // carry the flag already; otherwise probe the top-thread rows once.
     let fallbacks: Vec<(&'static str, bool)> = if profile {
@@ -377,36 +379,42 @@ fn main() {
             .map(|r| {
                 (
                     r.reduce,
-                    r.flight.as_ref().expect("--profile fills every row").fallback,
+                    r.flight
+                        .as_ref()
+                        .expect("--profile fills every row")
+                        .fallback,
                 )
             })
             .collect()
     } else {
-        [("none", ExploreOpts::default()), ("all", ExploreOpts::reduced())]
-            .into_iter()
-            .map(|(reduce, base)| {
-                let (_, prof) = explore_flight(
-                    &space.roots,
-                    N,
-                    S,
-                    space.scope.max_depth,
-                    ExploreOpts {
-                        threads: sweep_top,
-                        ..base
-                    },
-                    &mut NullRecorder,
-                    &FlightOpts::profiled(),
-                );
-                let prof = prof.expect("FlightOpts::profiled() always yields a profile");
-                (reduce, prof.fallback)
-            })
-            .collect()
+        [
+            ("none", ExploreOpts::default()),
+            ("all", ExploreOpts::reduced()),
+        ]
+        .into_iter()
+        .map(|(reduce, base)| {
+            let (_, prof) = explore_flight(
+                &space.roots,
+                N,
+                S,
+                space.scope.max_depth,
+                ExploreOpts {
+                    threads: sweep_top,
+                    ..base
+                },
+                &mut NullRecorder,
+                &FlightOpts::profiled(),
+            );
+            let prof = prof.expect("FlightOpts::profiled() always yields a profile");
+            (reduce, prof.fallback)
+        })
+        .collect()
     };
     for (reduce, fell_back) in fallbacks {
         if fell_back {
             eprintln!(
                 "FALLBACK: reduce={reduce} at {sweep_top} threads cut to the serial explorer \
-                 on the headline scope — the ownership walk must cover it"
+                 on the headline scope — the claim walk must cover it"
             );
             fatal = true;
         }
@@ -421,7 +429,7 @@ fn main() {
              speedup gate is skipped (DESIGN.md §15)."
         );
     } else {
-        // Fatal on capable hosts: the ownership explorer exists to scale,
+        // Fatal on capable hosts: the parallel explorer exists to scale,
         // and a sub-2x curve at 8 threads means it does not.
         for row in rows.iter().filter(|r| r.threads == sweep_top && r.n == N) {
             if row.speedup < SPEEDUP_FLOOR {
