@@ -22,7 +22,7 @@ use crate::retime::block_constant;
 /// A shared-memory port process that takes `s` port steps and idles without
 /// any communication — correct in the synchronous model, a lower-bound
 /// witness everywhere else.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct NaiveSmPort {
     port_var: VarId,
     steps_to_take: u64,
@@ -57,10 +57,14 @@ impl SmProcess<Knowledge> for NaiveSmPort {
     fn is_idle(&self) -> bool {
         self.steps >= self.steps_to_take
     }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
+    }
 }
 
 /// The message-passing twin of [`NaiveSmPort`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct NaiveMpPort {
     steps_to_take: u64,
     steps: u64,
@@ -89,6 +93,10 @@ impl MpProcess<session_core::SessionMsg> for NaiveMpPort {
 
     fn is_idle(&self) -> bool {
         self.steps >= self.steps_to_take
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

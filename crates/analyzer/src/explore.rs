@@ -43,7 +43,7 @@ use session_obs::{NullRecorder, ProgressBoard, Recorder};
 use session_types::Dur;
 
 use crate::diag::LintCode;
-use crate::machine::{MpMachine, SmMachine, StepInfo};
+use crate::machine::{Menu, MpMachine, SmMachine, StepInfo};
 use crate::partition::PROGRESS_BATCH;
 use crate::profile::{ExploreProfile, FlightOpts, WorkerProfile};
 use crate::{por, symmetry};
@@ -66,11 +66,30 @@ impl AnyMachine {
         }
     }
 
-    /// See [`SmMachine::apply`].
+    /// See [`SmMachine::apply`]. Builds the state's menu for this one
+    /// call; the explorers build it once per state instead
+    /// ([`AnyMachine::build_menu`], [`AnyMachine::apply_menu`]).
     pub fn apply(&mut self, choice: usize, trace: Option<&mut session_sim::Trace>) -> StepInfo {
         match self {
             AnyMachine::Sm(m) => m.apply(choice, trace),
             AnyMachine::Mp(m) => m.apply(choice, trace),
+        }
+    }
+
+    /// Fills `menu` with this state's choice menu.
+    pub(crate) fn build_menu(&self, menu: &mut Menu) {
+        match self {
+            AnyMachine::Sm(m) => m.build_menu(menu),
+            AnyMachine::Mp(m) => m.build_menu(menu),
+        }
+    }
+
+    /// Applies `choice` from `menu`, which must have been built from this
+    /// state (the parent a child was cloned from).
+    pub(crate) fn apply_menu(&mut self, menu: &Menu, choice: usize) -> StepInfo {
+        match self {
+            AnyMachine::Sm(m) => m.apply_menu(menu, choice, None),
+            AnyMachine::Mp(m) => m.apply_menu(menu, choice, None),
         }
     }
 
@@ -99,7 +118,7 @@ impl AnyMachine {
     }
 
     /// See [`SmMachine::control_hash`] / [`MpMachine::control_hash`].
-    pub(crate) fn control_hash(&self) -> u64 {
+    pub fn control_hash(&self) -> u64 {
         match self {
             AnyMachine::Sm(m) => m.control_hash(),
             AnyMachine::Mp(m) => m.control_hash(),
@@ -211,15 +230,29 @@ impl SessionCounter {
 
     /// Hashes the counter as it would look after renaming process/port `i`
     /// to `sigma[i]` (MP targets only: port ids coincide with process
-    /// ids there, so one permutation renames both).
+    /// ids there, so one permutation renames both). The renamed sets are
+    /// hashed as bitmasks, so nothing is allocated.
     pub(crate) fn hash_permuted<H: Hasher>(&self, sigma: &[usize], hasher: &mut H) {
+        debug_assert!(sigma.len() <= 64, "renamed sets are hashed as u64 masks");
+        let mask = |set: &BTreeSet<usize>| set.iter().fold(0u64, |mask, &p| mask | 1 << sigma[p]);
         self.n.hash(hasher);
         self.sessions.hash(hasher);
         self.saturate_at.hash(hasher);
-        let covered: BTreeSet<usize> = self.covered.iter().map(|&p| sigma[p]).collect();
-        covered.hash(hasher);
-        let idle: BTreeSet<usize> = self.idle.iter().map(|&p| sigma[p]).collect();
-        idle.hash(hasher);
+        mask(&self.covered).hash(hasher);
+        mask(&self.idle).hash(hasher);
+    }
+
+    /// The counter after renaming process/port `i` to `sigma[i]`, as
+    /// [`SessionCounter::hash_permuted`] sees it (for auditing symmetry
+    /// keys against full state encodings).
+    pub fn renamed(&self, sigma: &[usize]) -> SessionCounter {
+        SessionCounter {
+            n: self.n,
+            sessions: self.sessions,
+            saturate_at: self.saturate_at,
+            covered: self.covered.iter().map(|&p| sigma[p]).collect(),
+            idle: self.idle.iter().map(|&p| sigma[p]).collect(),
+        }
     }
 }
 
@@ -414,6 +447,7 @@ pub fn explore_flight(
         progress,
         batch_states: 0,
         batch_depth: 0,
+        menus: Vec::new(),
     };
     for (root_index, root) in roots.iter().enumerate() {
         explorer.current_root = root_index;
@@ -511,13 +545,11 @@ pub(crate) const MEMO_COMPLETE: usize = usize::MAX;
 /// reduction is on and the target is eligible, the plain combined
 /// fingerprint otherwise. Shared by the serial explorer and the parallel
 /// explorer's replay so both paths prune identically. Equal keys imply equal
-/// choice menus — [`MpMachine::eligible`] enumerates in the canonical
-/// order the hash is computed over — so the key is graph-determining:
-/// the parallel explorer claims and logs records by it, and
-/// whichever representative of the class a worker expands first yields
-/// the same record any other would have.
-///
-/// [`MpMachine::eligible`]: crate::machine::MpMachine
+/// choice menus — [`MpMachine`] keeps its pending events in the canonical
+/// order the hash is computed over, and its menu is their eligible prefix
+/// — so the key is graph-determining: the parallel explorer claims and
+/// logs records by it, and whichever representative of the class a worker
+/// expands first yields the same record any other would have.
 pub(crate) fn state_key(machine: &AnyMachine, counter: &SessionCounter, symmetry: bool) -> u64 {
     if symmetry {
         if let Some(canonical) = symmetry::canonical_key(machine, counter) {
@@ -541,7 +573,7 @@ pub(crate) fn state_key(machine: &AnyMachine, counter: &SessionCounter, symmetry
 /// Whenever symmetry is off — or refused for the target, which covers
 /// every identity-carrying algorithm — the two keys are computed
 /// identically and Phase A expands exactly the states serial visits.
-pub(crate) fn route_key(machine: &AnyMachine, counter: &SessionCounter) -> u64 {
+pub fn route_key(machine: &AnyMachine, counter: &SessionCounter) -> u64 {
     state_key(machine, counter, false)
 }
 
@@ -620,6 +652,7 @@ pub(crate) fn explore_witnesses(
         progress: None,
         batch_states: 0,
         batch_depth: 0,
+        menus: Vec::new(),
     };
     for (root_index, root) in roots.iter().enumerate() {
         if explorer.early_stop_satisfied() {
@@ -667,6 +700,9 @@ struct Explorer<'r> {
     progress: Option<&'r ProgressBoard>,
     batch_states: u64,
     batch_depth: u64,
+    /// Menu buffers, one per expansion on the DFS stack, reused across
+    /// states so building a menu allocates nothing in steady state.
+    menus: Vec<Menu>,
 }
 
 impl Explorer<'_> {
@@ -800,19 +836,21 @@ impl Explorer<'_> {
         board.raise_depth(self.batch_depth);
     }
 
-    /// Expands one choice and recurses; returns the child's outcome
-    /// (`complete` when the edge was pruned at a step-level violation —
-    /// pruning below a witness is deliberate, not a budget cut).
+    /// Expands one choice of `menu` (the parent's) and recurses; returns
+    /// the child's outcome (`complete` when the edge was pruned at a
+    /// step-level violation — pruning below a witness is deliberate, not a
+    /// budget cut).
     fn explore_choice(
         &mut self,
         machine: &AnyMachine,
+        menu: &Menu,
         counter: &SessionCounter,
         choice: usize,
         path: &mut Vec<usize>,
     ) -> SubtreeOutcome {
         path.push(choice);
         let mut next = machine.clone();
-        let info = next.apply(choice, None);
+        let info = next.apply_menu(menu, choice);
         // The counter only advances on port steps — deliveries and relay
         // steps (the bulk of most menus) reuse the parent's counter
         // without cloning it.
@@ -848,21 +886,38 @@ impl Explorer<'_> {
         counter: &SessionCounter,
         path: &mut Vec<usize>,
     ) -> bool {
-        let choices = machine.choice_count();
+        let mut menu = self.menus.pop().unwrap_or_default();
+        machine.build_menu(&mut menu);
+        let complete = self.expand_menu(machine, &menu, counter, path);
+        self.menus.push(menu);
+        complete
+    }
+
+    /// [`Explorer::expand`] over the state's built `menu`.
+    fn expand_menu(
+        &mut self,
+        machine: &AnyMachine,
+        menu: &Menu,
+        counter: &SessionCounter,
+        path: &mut Vec<usize>,
+    ) -> bool {
+        let choices = menu.choice_count();
         debug_assert!(choices > 0, "non-quiescent machine must have events");
         if self.recorder.is_enabled() {
             self.recorder
                 .observe("explore.frontier_depth", path.len() as f64);
         }
         let ample = if self.opts.por {
-            por::select_ample(machine, counter)
+            por::select_ample(machine, menu, counter)
         } else {
             None
         };
         let Some(ample) = ample else {
             let mut complete = true;
             for choice in 0..choices {
-                complete &= self.explore_choice(machine, counter, choice, path).complete;
+                complete &= self
+                    .explore_choice(machine, menu, counter, choice, path)
+                    .complete;
             }
             return complete;
         };
@@ -870,7 +925,7 @@ impl Explorer<'_> {
         let mut complete = true;
         let mut closed_cycle = false;
         for choice in ample.start..ample.end {
-            let outcome = self.explore_choice(machine, counter, choice, path);
+            let outcome = self.explore_choice(machine, menu, counter, choice, path);
             complete &= outcome.complete;
             closed_cycle |= outcome.closed_cycle;
         }
@@ -879,7 +934,9 @@ impl Explorer<'_> {
             // stack, so the pruned events could be postponed around that
             // loop forever. Expand the rest of the menu too.
             for choice in (0..ample.start).chain(ample.end..choices) {
-                complete &= self.explore_choice(machine, counter, choice, path).complete;
+                complete &= self
+                    .explore_choice(machine, menu, counter, choice, path)
+                    .complete;
             }
         } else {
             let skipped = (choices - ample.len()) as u64;

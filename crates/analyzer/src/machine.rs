@@ -18,8 +18,10 @@
 //! counterexample paths through the real `SmEngine` and compares global
 //! states, and the test suite runs differential machine-vs-engine checks.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use rustc_hash::FxHasher;
@@ -34,11 +36,13 @@ use session_mpm::{Envelope, MpProcess};
 use session_smm::{Knowledge, RelayProcess, SmProcess, TreeSpec};
 use session_types::{Dur, MsgId, PortId, ProcessId, Time, VarId};
 
+use crate::symmetry::MAX_PERMUTED;
+
 /// Every shared-memory process the checker can host, as a cloneable value.
 ///
 /// (The engines take `Box<dyn SmProcess>`, which cannot be cloned; the
 /// checker needs cloning to fork a state per branch.)
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum SmAlgo {
     /// `A(syn)`: `s` silent steps.
     Sync(SyncSmPort),
@@ -92,11 +96,25 @@ impl SmProcess<Knowledge> for SmAlgo {
             SmAlgo::CheatStepCounting(p) => p.is_idle(),
         }
     }
+
+    /// The wrapped port's own fingerprint, so the engine (which may host
+    /// the bare port) and the machine agree.
+    fn fingerprint(&self) -> u64 {
+        match self {
+            SmAlgo::Sync(p) => p.fingerprint(),
+            SmAlgo::Periodic(p) => p.fingerprint(),
+            SmAlgo::SemiSync(p) => p.fingerprint(),
+            SmAlgo::Async(p) => p.fingerprint(),
+            SmAlgo::Relay(p) => p.fingerprint(),
+            SmAlgo::Naive(p) => p.fingerprint(),
+            SmAlgo::CheatStepCounting(p) => p.fingerprint(),
+        }
+    }
 }
 
 /// Every message-passing process the checker can host, as a cloneable
 /// value.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum MpAlgo {
     /// `A(syn)`: `s` silent steps.
     Sync(SyncMpPort),
@@ -136,6 +154,19 @@ impl MpProcess<SessionMsg> for MpAlgo {
             MpAlgo::Async(p) => p.is_idle(),
             MpAlgo::Naive(p) => p.is_idle(),
             MpAlgo::StepCounting(p) => p.is_idle(),
+        }
+    }
+
+    /// The wrapped port's own fingerprint (see [`SmAlgo`]'s).
+    fn fingerprint(&self) -> u64 {
+        match self {
+            MpAlgo::Sync(p) => p.fingerprint(),
+            MpAlgo::Periodic(p) => p.fingerprint(),
+            MpAlgo::SemiSync(p) => p.fingerprint(),
+            MpAlgo::Sporadic(p) => p.fingerprint(),
+            MpAlgo::Async(p) => p.fingerprint(),
+            MpAlgo::Naive(p) => p.fingerprint(),
+            MpAlgo::StepCounting(p) => p.fingerprint(),
         }
     }
 }
@@ -332,21 +363,25 @@ impl SmMachine {
         *self.due.iter().min().expect("machine has >= 1 process")
     }
 
-    fn eligible(&self) -> Vec<usize> {
+    /// Fills `menu` with this state's choice menu: every process due at
+    /// the current instant, in process order, each owning one block of
+    /// gap choices.
+    pub(crate) fn build_menu(&self, menu: &mut Menu) {
+        menu.clear();
         let t = self.t_min();
-        (0..self.due.len()).filter(|&p| self.due[p] == t).collect()
-    }
-
-    /// The processes whose next step is due at the current instant, in the
-    /// order `apply` enumerates them (for the ample-set selector).
-    pub(crate) fn eligible_processes(&self) -> Vec<usize> {
-        self.eligible()
-    }
-
-    /// Gap choices per step (each eligible process's block width in the
-    /// flat choice menu).
-    pub(crate) fn menu_len(&self) -> usize {
-        self.statics.gaps.menu_len()
+        let weight = self.statics.gaps.menu_len();
+        for (process, &due) in self.due.iter().enumerate() {
+            if due == t {
+                menu.push(EligibleEvent {
+                    kind: EligibleKind::Step {
+                        process,
+                        broadcasts: false,
+                    },
+                    weight,
+                    at: process,
+                });
+            }
+        }
     }
 
     /// The variable process `p` will access on its next step.
@@ -361,7 +396,8 @@ impl SmMachine {
 
     /// The number of admissible transitions from this state.
     pub fn choice_count(&self) -> usize {
-        self.eligible().len() * self.statics.gaps.menu_len()
+        let t = self.t_min();
+        self.due.iter().filter(|&&due| due == t).count() * self.statics.gaps.menu_len()
     }
 
     /// The step body shared by [`SmMachine::apply`] and the zone walker's
@@ -398,11 +434,21 @@ impl SmMachine {
     /// Applies transition `choice` (must be `< choice_count()`). When
     /// `trace` is given, records the step exactly as the engine would.
     pub fn apply(&mut self, choice: usize, trace: Option<&mut session_sim::Trace>) -> StepInfo {
+        let mut menu = Menu::default();
+        self.build_menu(&mut menu);
+        self.apply_menu(&menu, choice, trace)
+    }
+
+    /// [`SmMachine::apply`] from this state's already built `menu`.
+    pub(crate) fn apply_menu(
+        &mut self,
+        menu: &Menu,
+        choice: usize,
+        trace: Option<&mut session_sim::Trace>,
+    ) -> StepInfo {
         let now = self.t_min();
-        let per = self.statics.gaps.menu_len();
-        let eligible = self.eligible();
-        let p = eligible[choice / per];
-        let gap_index = choice % per;
+        let (event, gap_index) = menu.locate(choice);
+        let p = event.at;
 
         let (info, var) = self.perform_step(p, now);
         self.due[p] = now + self.statics.gaps.gap(p, gap_index);
@@ -472,7 +518,7 @@ impl SmMachine {
     /// explicit explorer and the zone walker (the SA012 cross-check
     /// compares reachable control-hash sets), and part of the zone memo
     /// key.
-    pub(crate) fn control_hash(&self) -> u64 {
+    pub fn control_hash(&self) -> u64 {
         let mut hasher = FxHasher::default();
         for algo in &self.algos {
             algo.fingerprint().hash(&mut hasher);
@@ -511,6 +557,30 @@ impl SmMachine {
         }
         hasher.finish()
     }
+
+    /// The full state the hashes above compress, rendered component by
+    /// component: each process's `Debug` rendering, each variable's value,
+    /// each accessor set, then (only when `timed`) the `due` times relative
+    /// to the next step, then the periods. See
+    /// [`MpMachine::canonical_encoding`].
+    pub fn canonical_encoding(&self, timed: bool) -> Vec<String> {
+        let t = self.t_min();
+        let mut parts: Vec<String> = self.algos.iter().map(|a| format!("{a:?}")).collect();
+        parts.extend(self.memory.iter().map(|value| format!("value {value:?}")));
+        parts.extend(
+            self.accessors
+                .iter()
+                .map(|set| format!("accessors {set:?}")),
+        );
+        if timed {
+            let due: Vec<Dur> = self.due.iter().map(|&due| due - t).collect();
+            parts.push(format!("due {due:?}"));
+        }
+        if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
+            parts.push(format!("periods {periods:?}"));
+        }
+        parts
+    }
 }
 
 /// The standard tree-network shared-memory system for `n` ports with
@@ -532,7 +602,8 @@ pub fn sm_system_algos(port_algos: Vec<SmAlgo>, n: usize, b: usize) -> (Vec<SmAl
 struct Pending {
     time: Time,
     /// Insertion sequence — only used to keep enumeration order stable
-    /// (the engine's FIFO tie-break is itself one of the branched orders).
+    /// between byte-identical entries (the engine's FIFO tie-break is
+    /// itself one of the branched orders).
     seq: u64,
     kind: PendingKind,
 }
@@ -550,9 +621,31 @@ enum PendingKind {
     },
 }
 
-/// One eligible event of an [`MpMachine`], as the ample-set selector sees
-/// it: the event kind plus the width of its contiguous block in the flat
-/// choice menu.
+/// What a pending event is, without when it fires: `(kind, process,
+/// from, value)`, with kind 0 for a step of `process` and 1 for a delivery
+/// to `process`. State hashes and the menu order go by it.
+type Identity = (u8, usize, usize, u64);
+
+impl Pending {
+    /// The event's [`Identity`].
+    fn identity(&self) -> Identity {
+        match self.kind {
+            PendingKind::Step(p) => (0, p, 0, 0),
+            PendingKind::Deliver {
+                to, from, value, ..
+            } => (1, to, from, value),
+        }
+    }
+
+    /// The canonical order [`MpMachine`] keeps `pending` in: by time, then
+    /// identity, then insertion sequence.
+    fn order(&self) -> (Time, Identity, u64) {
+        (self.time, self.identity(), self.seq)
+    }
+}
+
+/// One eligible event of a state's [`Menu`]: the event kind plus the width
+/// of its contiguous block in the flat choice menu.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EligibleEvent {
     /// What fires.
@@ -560,13 +653,16 @@ pub(crate) struct EligibleEvent {
     /// How many flat choices the event owns (gap × delay-combo fan-out
     /// for broadcasting steps).
     pub(crate) weight: usize,
+    /// Where the event lives in its machine: the index into `pending`
+    /// for message passing, the process for shared memory.
+    at: usize,
 }
 
-/// The kind of an eligible MP event.
+/// The kind of an eligible event.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum EligibleKind {
     /// Process `process` takes its step (`broadcasts` when that step will
-    /// send with the current inbox).
+    /// send with the current inbox; always `false` in shared memory).
     Step {
         /// The stepping process.
         process: usize,
@@ -578,6 +674,114 @@ pub(crate) enum EligibleKind {
         /// The recipient.
         to: usize,
     },
+}
+
+/// A state's choice menu: its eligible events in enumeration order, each
+/// owning a contiguous block of the flat `0..choice_count()` range.
+///
+/// The explorers build it once per expanded state into a reused buffer
+/// ([`crate::explore::AnyMachine::build_menu`]) and hand that one menu to
+/// the ample-set selector and to every child's apply. It is valid only
+/// for the state it was built from (and clones of it not yet stepped).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Menu {
+    events: Vec<EligibleEvent>,
+    choices: usize,
+}
+
+impl Menu {
+    fn clear(&mut self) {
+        self.events.clear();
+        self.choices = 0;
+    }
+
+    fn push(&mut self, event: EligibleEvent) {
+        self.choices += event.weight;
+        self.events.push(event);
+    }
+
+    /// The eligible events in enumeration order.
+    pub(crate) fn events(&self) -> &[EligibleEvent] {
+        &self.events
+    }
+
+    /// The number of admissible transitions.
+    pub(crate) fn choice_count(&self) -> usize {
+        self.choices
+    }
+
+    /// The flat choices event `i` owns.
+    pub(crate) fn range(&self, i: usize) -> Range<usize> {
+        let start = self.events[..i].iter().map(|e| e.weight).sum();
+        start..start + self.events[i].weight
+    }
+
+    /// The event owning flat `choice`, and `choice`'s offset in its block.
+    fn locate(&self, choice: usize) -> (EligibleEvent, usize) {
+        let mut rest = choice;
+        for &event in &self.events {
+            if rest < event.weight {
+                return (event, rest);
+            }
+            rest -= event.weight;
+        }
+        panic!("choice {choice} is past the {}-choice menu", self.choices);
+    }
+}
+
+/// Reused buffers for hashing multisets in canonical (sorted) order, one
+/// set per thread, so computing a state key allocates nothing.
+#[derive(Default)]
+struct HashScratch {
+    /// One inbox's `(sender, value)` entries.
+    inbox: Vec<(usize, u64)>,
+    /// Pending events as `(relative time, identity)`.
+    pending: Vec<(Dur, Identity)>,
+    /// Pending events without their times.
+    identities: Vec<Identity>,
+}
+
+/// Runs `f` with this thread's [`HashScratch`]. The buffers are moved out
+/// for the call and back after it, so no borrow can fail; a nested call
+/// just starts from empty buffers.
+fn with_scratch<R>(f: impl FnOnce(&mut HashScratch) -> R) -> R {
+    thread_local! {
+        static SCRATCH: Cell<HashScratch> = const {
+            Cell::new(HashScratch {
+                inbox: Vec::new(),
+                pending: Vec::new(),
+                identities: Vec::new(),
+            })
+        };
+    }
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.take();
+        let out = f(&mut scratch);
+        cell.set(scratch);
+        out
+    })
+}
+
+/// Hashes one inbox as a multiset of `(sender, value)` pairs, senders
+/// renamed through `sigma`. Every hosted algorithm consumes its inbox as a
+/// commutative join (set inserts / lattice joins), so arrival-order
+/// permutations are semantically equivalent states. Hashing them apart
+/// would make delivery interleavings that converge semantically never
+/// converge in the memo.
+fn hash_inbox<H: Hasher>(
+    inbox: &[Envelope<SessionMsg>],
+    sigma: impl Fn(usize) -> usize,
+    scratch: &mut Vec<(usize, u64)>,
+    hasher: &mut H,
+) {
+    scratch.clear();
+    scratch.extend(
+        inbox
+            .iter()
+            .map(|env| (sigma(env.from.index()), env.payload.value)),
+    );
+    scratch.sort_unstable();
+    scratch.hash(hasher);
 }
 
 /// The per-exploration-root immutable configuration of an [`MpMachine`],
@@ -600,6 +804,23 @@ struct MpStatics {
 /// Like [`SmMachine`], per-process states and inboxes are interned behind
 /// `Arc`s: forking a branch is refcount traffic, and `apply` copies only
 /// the one process (and one inbox) the event touches.
+///
+/// `pending` is kept in **canonical order** ([`Pending::order`]): by time,
+/// then by what the event is, with the insertion `seq` as the final
+/// tie-break between byte-identical duplicates — which are
+/// interchangeable. The events eligible now are therefore a prefix of
+/// `pending`, already in menu order, and that order is a function of the
+/// canonical state, not of the queue history that produced this
+/// representative. That is what lets the memo (and the parallel
+/// explorer's claim table) use [`MpMachine::state_hash`] as a
+/// *graph-determining* key: two machines with equal hashes enumerate
+/// identical choice menus and therefore expand to identical successor
+/// lists, so it does not matter which representative of the equivalence
+/// class gets expanded. With an insertion-order tie-break instead,
+/// equal-hash representatives could present the same events in different
+/// menu orders, and anything order-sensitive downstream (POR's ample
+/// ranges, depth-budget truncation, witness choice paths) would depend on
+/// which representative happened to be reached first.
 #[derive(Clone, Debug)]
 pub struct MpMachine {
     algos: Vec<Arc<MpAlgo>>,
@@ -622,7 +843,7 @@ impl MpMachine {
         assert!(!delays.is_empty(), "delay menu must be nonempty");
         let n = algos.len();
         assert_eq!(n, first_steps.len());
-        let pending = first_steps
+        let mut pending: Vec<Pending> = first_steps
             .iter()
             .enumerate()
             .map(|(p, &time)| Pending {
@@ -631,6 +852,7 @@ impl MpMachine {
                 kind: PendingKind::Step(p),
             })
             .collect();
+        pending.sort_by_key(Pending::order);
         let empty_inbox = Arc::new(Vec::new());
         MpMachine {
             inboxes: vec![Arc::clone(&empty_inbox); n],
@@ -663,46 +885,19 @@ impl MpMachine {
     }
 
     fn t_min(&self) -> Time {
-        self.pending
-            .iter()
-            .map(|e| e.time)
-            .min()
-            .expect("each process always has a pending step")
+        // Each process always has a pending step, and `pending` is sorted.
+        self.pending[0].time
     }
 
-    /// Indices into `pending` of the events eligible to fire now, in
-    /// **canonical event order**: sorted by the same `(kind, process,
-    /// from, value)` tuple [`MpMachine::state_hash`] canonicalizes
-    /// pending events with (every eligible event fires at `t_min`, so
-    /// time never discriminates), with the insertion `seq` as the final
-    /// tie-break between byte-identical duplicates — which are
-    /// interchangeable, so the resulting menu order is a function of the
-    /// canonical state, not of the queue history that produced this
-    /// representative. That is what lets the memo (and the parallel
-    /// explorer's claim table) use `state_hash` as a *graph-determining* key:
-    /// two machines with equal hashes enumerate identical choice menus
-    /// and therefore expand to identical successor lists, so it does not
-    /// matter which representative of the equivalence class gets
-    /// expanded. With an insertion-order tie-break instead, equal-hash
-    /// representatives could present the same events in different menu
-    /// orders, and anything order-sensitive downstream (POR's ample
-    /// ranges, depth-budget truncation, witness choice paths) would
-    /// depend on which representative happened to be reached first.
-    fn eligible(&self) -> Vec<usize> {
-        let t = self.t_min();
-        let mut indices: Vec<usize> = (0..self.pending.len())
-            .filter(|&i| self.pending[i].time == t)
-            .collect();
-        indices.sort_by_key(|&i| {
-            let e = &self.pending[i];
-            match e.kind {
-                PendingKind::Step(p) => (0u8, p, 0, 0u64, e.seq),
-                PendingKind::Deliver {
-                    to, from, value, ..
-                } => (1u8, to, from, value, e.seq),
-            }
-        });
-        indices
+    /// Enqueues an event at its place in the canonical order.
+    fn schedule(&mut self, time: Time, kind: PendingKind) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let entry = Pending { time, seq, kind };
+        let key = entry.order();
+        let at = self.pending.partition_point(|e| e.order() < key);
+        self.pending.insert(at, entry);
+        seq
     }
 
     fn delay_combos(&self) -> usize {
@@ -717,43 +912,45 @@ impl MpMachine {
         scratch.step((*self.inboxes[p]).clone()).is_some()
     }
 
-    fn event_weight(&self, pending_index: usize) -> usize {
-        match self.pending[pending_index].kind {
-            PendingKind::Deliver { .. } => 1,
-            PendingKind::Step(p) => {
-                let gaps = self.statics.gaps.menu_len();
-                if self.would_broadcast(p) {
-                    gaps * self.delay_combos()
-                } else {
-                    gaps
-                }
+    /// Fills `menu` with this state's choice menu: the eligible events
+    /// (the prefix of `pending` due at the current instant, in canonical
+    /// order), each with its block width. Each step is probed once for
+    /// whether it broadcasts.
+    pub(crate) fn build_menu(&self, menu: &mut Menu) {
+        menu.clear();
+        let t = self.t_min();
+        let gaps = self.statics.gaps.menu_len();
+        for (at, event) in self.pending.iter().enumerate() {
+            if event.time != t {
+                break;
             }
+            let (kind, weight) = match event.kind {
+                PendingKind::Step(process) => {
+                    let broadcasts = self.would_broadcast(process);
+                    let weight = if broadcasts {
+                        gaps * self.delay_combos()
+                    } else {
+                        gaps
+                    };
+                    (
+                        EligibleKind::Step {
+                            process,
+                            broadcasts,
+                        },
+                        weight,
+                    )
+                }
+                PendingKind::Deliver { to, .. } => (EligibleKind::Deliver { to }, 1),
+            };
+            menu.push(EligibleEvent { kind, weight, at });
         }
     }
 
     /// The number of admissible transitions from this state.
     pub fn choice_count(&self) -> usize {
-        self.eligible().iter().map(|&i| self.event_weight(i)).sum()
-    }
-
-    /// The eligible events in `apply`'s enumeration order, with each
-    /// event's block width in the flat choice menu (for the ample-set
-    /// selector: one event owns one contiguous choice range).
-    pub(crate) fn eligible_events(&self) -> Vec<EligibleEvent> {
-        self.eligible()
-            .into_iter()
-            .map(|i| {
-                let weight = self.event_weight(i);
-                let kind = match self.pending[i].kind {
-                    PendingKind::Step(p) => EligibleKind::Step {
-                        process: p,
-                        broadcasts: self.would_broadcast(p),
-                    },
-                    PendingKind::Deliver { to, .. } => EligibleKind::Deliver { to },
-                };
-                EligibleEvent { kind, weight }
-            })
-            .collect()
+        let mut menu = Menu::default();
+        self.build_menu(&mut menu);
+        menu.choice_count()
     }
 
     /// Whether the delay menu contains zero — a broadcast can then enable
@@ -763,7 +960,7 @@ impl MpMachine {
     }
 
     /// Number of processes.
-    pub(crate) fn num_processes(&self) -> usize {
+    pub fn num_processes(&self) -> usize {
         self.n
     }
 
@@ -777,40 +974,33 @@ impl MpMachine {
     /// Hashes the state as it would look after renaming process `i` to
     /// `sigma[i]` — the same normalization as [`MpMachine::state_hash`]
     /// (relative times, inbox multisets, canonical pending order), with
-    /// every process index routed through `sigma`. `sigma = identity`
-    /// hashes the same information as `state_hash` does.
+    /// every process index routed through `sigma`.
     pub(crate) fn hash_permuted<H: Hasher>(&self, sigma: &[usize], hasher: &mut H) {
         debug_assert_eq!(sigma.len(), self.n);
-        let mut inverse = vec![0usize; self.n];
+        let mut inverse = [0usize; MAX_PERMUTED];
         for (old, &new) in sigma.iter().enumerate() {
             inverse[new] = old;
         }
+        let inverse = &inverse[..self.n];
         let t = self.t_min();
-        for &old in &inverse {
+        for &old in inverse {
             self.algos[old].fingerprint().hash(hasher);
         }
-        for &old in &inverse {
-            let mut entries: Vec<(usize, u64)> = self.inboxes[old]
-                .iter()
-                .map(|env| (sigma[env.from.index()], env.payload.value))
-                .collect();
-            entries.sort_unstable();
-            entries.hash(hasher);
-        }
-        let mut canonical: Vec<(Dur, u8, usize, usize, u64)> = self
-            .pending
-            .iter()
-            .map(|e| match e.kind {
-                PendingKind::Step(p) => (e.time - t, 0u8, sigma[p], 0, 0),
-                PendingKind::Deliver {
-                    to, from, value, ..
-                } => (e.time - t, 1u8, sigma[to], sigma[from], value),
-            })
-            .collect();
-        canonical.sort();
-        canonical.hash(hasher);
+        with_scratch(|scratch| {
+            for &old in inverse {
+                hash_inbox(&self.inboxes[old], |p| sigma[p], &mut scratch.inbox, hasher);
+            }
+            scratch.pending.clear();
+            scratch.pending.extend(self.pending.iter().map(|e| {
+                let (kind, p, from, value) = e.identity();
+                let from = if kind == 0 { 0 } else { sigma[from] };
+                (e.time - t, (kind, sigma[p], from, value))
+            }));
+            scratch.pending.sort_unstable();
+            scratch.pending.hash(hasher);
+        });
         if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
-            for &old in &inverse {
+            for &old in inverse {
                 periods[old].hash(hasher);
             }
         }
@@ -837,30 +1027,30 @@ impl MpMachine {
     /// `trace` is given, records the event exactly as the engine would
     /// (sends in recipient order before the step event, delivery records
     /// on arrival).
-    pub fn apply(&mut self, choice: usize, mut trace: Option<&mut session_sim::Trace>) -> StepInfo {
-        let now = self.t_min();
-        let (pending_index, sub) = {
-            let mut remaining = choice;
-            let mut found = None;
-            for i in self.eligible() {
-                let weight = self.event_weight(i);
-                if remaining < weight {
-                    found = Some((i, remaining));
-                    break;
-                }
-                remaining -= weight;
-            }
-            found.expect("choice < choice_count()")
-        };
+    pub fn apply(&mut self, choice: usize, trace: Option<&mut session_sim::Trace>) -> StepInfo {
+        let mut menu = Menu::default();
+        self.build_menu(&mut menu);
+        self.apply_menu(&menu, choice, trace)
+    }
 
-        match self.pending[pending_index].kind {
+    /// [`MpMachine::apply`] from this state's already built `menu`.
+    pub(crate) fn apply_menu(
+        &mut self,
+        menu: &Menu,
+        choice: usize,
+        mut trace: Option<&mut session_sim::Trace>,
+    ) -> StepInfo {
+        let now = self.t_min();
+        let (event, sub) = menu.locate(choice);
+        let fired = self.pending.remove(event.at);
+
+        match fired.kind {
             PendingKind::Deliver {
                 to,
                 from,
                 value,
                 msg,
             } => {
-                self.pending.swap_remove(pending_index);
                 Arc::make_mut(&mut self.inboxes[to])
                     .push(Envelope::new(ProcessId::new(from), SessionMsg::new(value)));
                 let idle = self.algos[to].is_idle();
@@ -885,15 +1075,21 @@ impl MpMachine {
                 }
             }
             PendingKind::Step(p) => {
-                let gaps_len = self.statics.gaps.menu_len();
-                let (gap_index, combo) = if self.would_broadcast(p) {
+                let broadcasts = matches!(
+                    event.kind,
+                    EligibleKind::Step {
+                        broadcasts: true,
+                        ..
+                    }
+                );
+                let (gap_index, combo) = if broadcasts {
                     (sub / self.delay_combos(), sub % self.delay_combos())
                 } else {
                     (sub, 0)
                 };
-                self.pending.swap_remove(pending_index);
+                debug_assert!(gap_index < self.statics.gaps.menu_len());
                 let (received, was_idle, idle_after, outgoing) = self.perform_step(p);
-                debug_assert!(gap_index < gaps_len);
+                debug_assert_eq!(outgoing.is_some(), broadcasts, "menu probe disagrees");
 
                 // Deliveries are enqueued before the process's own next
                 // step, in recipient order — the engine's exact order.
@@ -905,17 +1101,15 @@ impl MpMachine {
                         let msg = trace
                             .as_deref_mut()
                             .map(|t| t.record_send(ProcessId::new(p), ProcessId::new(q), now));
-                        self.pending.push(Pending {
-                            time: now + delay,
-                            seq: self.next_seq,
-                            kind: PendingKind::Deliver {
+                        self.schedule(
+                            now + delay,
+                            PendingKind::Deliver {
                                 to: q,
                                 from: p,
                                 value: payload.value,
                                 msg,
                             },
-                        });
-                        self.next_seq += 1;
+                        );
                     }
                 }
                 if let Some(trace) = trace {
@@ -929,12 +1123,8 @@ impl MpMachine {
                         idle_after,
                     });
                 }
-                self.pending.push(Pending {
-                    time: now + self.statics.gaps.gap(p, gap_index),
-                    seq: self.next_seq,
-                    kind: PendingKind::Step(p),
-                });
-                self.next_seq += 1;
+                let gap = self.statics.gaps.gap(p, gap_index);
+                self.schedule(now + gap, PendingKind::Step(p));
 
                 StepInfo {
                     time: now,
@@ -950,43 +1140,26 @@ impl MpMachine {
     }
 
     /// A hash of the machine state with times made relative to the next
-    /// event. Pending events are hashed in canonical order (their
-    /// insertion sequence is an enumeration artifact, not state).
-    /// Because [`MpMachine::eligible`] enumerates the choice menu in the
-    /// same canonical order, equal hashes mean equal menus — the hash is
-    /// graph-determining, which the parallel explorer's claim table
-    /// relies on.
+    /// event. Pending events are hashed in their canonical order (their
+    /// insertion sequence is an enumeration artifact, not state), which is
+    /// also the menu order — so equal hashes mean equal menus: the hash is
+    /// graph-determining, which the parallel explorer's claim table relies
+    /// on. Allocates nothing.
     pub fn state_hash(&self) -> u64 {
         let mut hasher = FxHasher::default();
         let t = self.t_min();
         for algo in &self.algos {
             algo.fingerprint().hash(&mut hasher);
         }
-        // Inboxes are hashed as multisets: every hosted algorithm consumes
-        // its inbox as a commutative join (set inserts / lattice joins), so
-        // arrival-order permutations are semantically equivalent states.
-        // Hashing them apart would make delivery interleavings that
-        // converge semantically never converge in the memo.
-        for inbox in &self.inboxes {
-            let mut entries: Vec<(usize, u64)> = inbox
-                .iter()
-                .map(|env| (env.from.index(), env.payload.value))
-                .collect();
-            entries.sort_unstable();
-            entries.hash(&mut hasher);
+        with_scratch(|scratch| {
+            for inbox in &self.inboxes {
+                hash_inbox(inbox, |p| p, &mut scratch.inbox, &mut hasher);
+            }
+        });
+        self.pending.len().hash(&mut hasher);
+        for event in &self.pending {
+            (event.time - t, event.identity()).hash(&mut hasher);
         }
-        let mut canonical: Vec<(Dur, u8, usize, usize, u64)> = self
-            .pending
-            .iter()
-            .map(|e| match e.kind {
-                PendingKind::Step(p) => (e.time - t, 0u8, p, 0, 0),
-                PendingKind::Deliver {
-                    to, from, value, ..
-                } => (e.time - t, 1u8, to, from, value),
-            })
-            .collect();
-        canonical.sort();
-        canonical.hash(&mut hasher);
         if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
             periods.hash(&mut hasher);
         }
@@ -995,10 +1168,12 @@ impl MpMachine {
 
     /// The initial scheduling windows at the exploration root: every
     /// pending event (at the root, each process's first step) fires
-    /// exactly at its concrete scheduled time.
+    /// exactly at its concrete scheduled time. Listed in insertion order.
     pub(crate) fn initial_windows(&self) -> Vec<(ZoneEvent, Dur, Dur)> {
-        self.pending
-            .iter()
+        let mut events: Vec<&Pending> = self.pending.iter().collect();
+        events.sort_by_key(|e| e.seq);
+        events
+            .into_iter()
             .map(|e| {
                 let ev = match e.kind {
                     PendingKind::Step(p) => ZoneEvent::Step(p),
@@ -1071,12 +1246,11 @@ impl MpMachine {
                     .expect("zone event is pending");
                 let PendingKind::Deliver {
                     to: t, from, value, ..
-                } = self.pending[idx].kind
+                } = self.pending.remove(idx).kind
                 else {
                     unreachable!("delivery sequence numbers identify deliveries");
                 };
                 debug_assert_eq!(to, t);
-                self.pending.swap_remove(idx);
                 Arc::make_mut(&mut self.inboxes[to])
                     .push(Envelope::new(ProcessId::new(from), SessionMsg::new(value)));
                 let idle = self.algos[to].is_idle();
@@ -1097,24 +1271,19 @@ impl MpMachine {
                     .iter()
                     .position(|e| matches!(e.kind, PendingKind::Step(q) if q == p))
                     .expect("every process always has a pending step");
-                self.pending.swap_remove(idx);
+                self.pending.remove(idx);
                 let (_received, was_idle, idle_after, outgoing) = self.perform_step(p);
 
                 let mut scheduled = Vec::new();
                 if let Some(payload) = outgoing {
                     for q in 0..self.n {
-                        let seq = self.next_seq;
-                        self.next_seq += 1;
-                        self.pending.push(Pending {
-                            time: Time::ZERO,
-                            seq,
-                            kind: PendingKind::Deliver {
-                                to: q,
-                                from: p,
-                                value: payload.value,
-                                msg: None,
-                            },
-                        });
+                        let kind = PendingKind::Deliver {
+                            to: q,
+                            from: p,
+                            value: payload.value,
+                            msg: None,
+                        };
+                        let seq = self.schedule(Time::ZERO, kind);
                         scheduled.push(ZoneEvent::Deliver {
                             seq,
                             to: q,
@@ -1123,12 +1292,7 @@ impl MpMachine {
                         });
                     }
                 }
-                self.pending.push(Pending {
-                    time: Time::ZERO,
-                    seq: self.next_seq,
-                    kind: PendingKind::Step(p),
-                });
-                self.next_seq += 1;
+                self.schedule(Time::ZERO, PendingKind::Step(p));
                 scheduled.push(ZoneEvent::Step(p));
 
                 let info = StepInfo {
@@ -1149,35 +1313,73 @@ impl MpMachine {
     /// minus every pending time (see [`SmMachine::control_hash`]). The
     /// pending *set* — which deliveries are in flight, as a multiset —
     /// remains part of control.
-    pub(crate) fn control_hash(&self) -> u64 {
+    pub fn control_hash(&self) -> u64 {
         let mut hasher = FxHasher::default();
         for algo in &self.algos {
             algo.fingerprint().hash(&mut hasher);
         }
-        for inbox in &self.inboxes {
-            let mut entries: Vec<(usize, u64)> = inbox
-                .iter()
-                .map(|env| (env.from.index(), env.payload.value))
-                .collect();
-            entries.sort_unstable();
-            entries.hash(&mut hasher);
-        }
-        let mut canonical: Vec<(u8, usize, usize, u64)> = self
-            .pending
-            .iter()
-            .map(|e| match e.kind {
-                PendingKind::Step(p) => (0u8, p, 0, 0),
-                PendingKind::Deliver {
-                    to, from, value, ..
-                } => (1u8, to, from, value),
-            })
-            .collect();
-        canonical.sort_unstable();
-        canonical.hash(&mut hasher);
+        with_scratch(|scratch| {
+            for inbox in &self.inboxes {
+                hash_inbox(inbox, |p| p, &mut scratch.inbox, &mut hasher);
+            }
+            scratch.identities.clear();
+            scratch
+                .identities
+                .extend(self.pending.iter().map(Pending::identity));
+            scratch.identities.sort_unstable();
+            scratch.identities.hash(&mut hasher);
+        });
         if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
             periods.hash(&mut hasher);
         }
         hasher.finish()
+    }
+
+    /// The full state the hashes above compress, rendered component by
+    /// component after renaming process `i` to `sigma[i]`: each process's
+    /// `Debug` rendering, each inbox as a sorted list, the pending count,
+    /// each pending event in canonical order (with its time relative to
+    /// the next event only when `timed`), then the periods. Two states
+    /// with equal encodings under the identity are the same state, and a
+    /// state's encodings over all `sigma` list its symmetry orbit. The
+    /// collision audit (`crates/analyzer/tests/hash_audit.rs`) checks that
+    /// distinct encodings never share a key.
+    pub fn canonical_encoding(&self, sigma: &[usize], timed: bool) -> Vec<String> {
+        assert_eq!(sigma.len(), self.n, "sigma must permute every process");
+        let mut inverse = vec![0usize; self.n];
+        for (old, &new) in sigma.iter().enumerate() {
+            inverse[new] = old;
+        }
+        let t = self.t_min();
+        let mut parts: Vec<String> = inverse
+            .iter()
+            .map(|&old| format!("{:?}", self.algos[old]))
+            .collect();
+        for &old in &inverse {
+            let mut entries: Vec<(usize, u64)> = self.inboxes[old]
+                .iter()
+                .map(|env| (sigma[env.from.index()], env.payload.value))
+                .collect();
+            entries.sort_unstable();
+            parts.push(format!("inbox {entries:?}"));
+        }
+        let mut pending: Vec<(Option<Dur>, Identity)> = self
+            .pending
+            .iter()
+            .map(|e| {
+                let (kind, p, from, value) = e.identity();
+                let from = if kind == 0 { 0 } else { sigma[from] };
+                (timed.then(|| e.time - t), (kind, sigma[p], from, value))
+            })
+            .collect();
+        pending.sort_unstable();
+        parts.push(format!("pending {}", pending.len()));
+        parts.extend(pending.iter().map(|event| format!("event {event:?}")));
+        if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
+            let periods: Vec<Dur> = inverse.iter().map(|&old| periods[old]).collect();
+            parts.push(format!("periods {periods:?}"));
+        }
+        parts
     }
 }
 
@@ -1204,6 +1406,135 @@ pub fn assignments(menu: &[Dur], k: usize) -> Vec<Vec<Dur>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use session_adversary::naive::{naive_semisync_sm_port, naive_sporadic_mp_port};
+    use session_types::fingerprint_of;
+
+    /// The bare port behind `algo`, fingerprinted three ways: through
+    /// the port's own method, as an engine hosting it boxed would, and
+    /// structurally.
+    fn mp_port_fingerprints(algo: &MpAlgo) -> [u64; 3] {
+        fn three<P: MpProcess<SessionMsg> + Hash>(p: &P) -> [u64; 3] {
+            let hosted: &dyn MpProcess<SessionMsg> = p;
+            [p.fingerprint(), hosted.fingerprint(), fingerprint_of(p)]
+        }
+        match algo {
+            MpAlgo::Sync(p) => three(p),
+            MpAlgo::Periodic(p) => three(p),
+            MpAlgo::SemiSync(p) => three(p),
+            MpAlgo::Sporadic(p) => three(p),
+            MpAlgo::Async(p) => three(p),
+            MpAlgo::Naive(p) => three(p),
+            MpAlgo::StepCounting(p) => three(p),
+        }
+    }
+
+    fn sm_port_fingerprints(algo: &SmAlgo) -> [u64; 3] {
+        fn three<P: SmProcess<Knowledge> + Hash>(p: &P) -> [u64; 3] {
+            let hosted: &dyn SmProcess<Knowledge> = p;
+            [p.fingerprint(), hosted.fingerprint(), fingerprint_of(p)]
+        }
+        match algo {
+            SmAlgo::Sync(p) => three(p),
+            SmAlgo::Periodic(p) => three(p),
+            SmAlgo::SemiSync(p) => three(p),
+            SmAlgo::Async(p) => three(p),
+            SmAlgo::Relay(p) => three(p),
+            SmAlgo::Naive(p) => three(p),
+            SmAlgo::CheatStepCounting(p) => three(p),
+        }
+    }
+
+    /// `session_types::fingerprint_of` is the Fx hash the analyzer keys
+    /// with, word for word (its hasher is a local copy).
+    #[test]
+    fn fingerprint_of_is_the_fx_hash() {
+        use std::hash::BuildHasher;
+        let fx = |value: &dyn Fn(&mut FxHasher)| {
+            let mut hasher = rustc_hash::FxBuildHasher::default().build_hasher();
+            value(&mut hasher);
+            hasher.finish()
+        };
+        let port = PeriodicMpPort::new(3, 2);
+        assert_eq!(fingerprint_of(&port), fx(&|h| port.hash(h)));
+        let mut value = Knowledge::new();
+        value.announce(ProcessId::new(1), 7);
+        assert_eq!(fingerprint_of(&value), fx(&|h| value.hash(h)));
+        for text in ["", "abc", "exactly8", "nine bytes"] {
+            assert_eq!(fingerprint_of(text), fx(&|h| text.hash(h)), "{text:?}");
+        }
+        assert_eq!(fingerprint_of(&u128::MAX), fx(&|h| u128::MAX.hash(h)));
+    }
+
+    /// Every `MpAlgo` variant fingerprints exactly as its bare port, before
+    /// and after each of a few steps, and the fingerprint follows the
+    /// state.
+    #[test]
+    fn mp_algo_fingerprints_agree_with_their_ports() {
+        let (c1, c2, d2) = (Dur::from_int(1), Dur::from_int(3), Dur::from_int(2));
+        let algos = [
+            MpAlgo::Sync(SyncMpPort::new(3)),
+            MpAlgo::Periodic(PeriodicMpPort::new(3, 2)),
+            MpAlgo::SemiSync(SemiSyncMpPort::new(3, 2, c1, c2, d2).expect("valid params")),
+            MpAlgo::Sporadic(
+                SporadicMpPort::new(ProcessId::new(0), 3, 2, c1, Dur::ZERO, d2)
+                    .expect("valid params"),
+            ),
+            MpAlgo::Async(AsyncMpPort::new(3, 2)),
+            MpAlgo::Naive(NaiveMpPort::new(3)),
+            MpAlgo::StepCounting(StepCountingMpPort::new(3, c1, c2).expect("valid params")),
+            MpAlgo::Sporadic(naive_sporadic_mp_port(ProcessId::new(1), 3, 2)),
+        ];
+        for mut algo in algos {
+            let mut seen = BTreeSet::new();
+            for round in 0..4u64 {
+                let wrapper = algo.fingerprint();
+                assert_eq!(
+                    mp_port_fingerprints(&algo),
+                    [wrapper; 3],
+                    "{algo:?} after {round} steps"
+                );
+                seen.insert(wrapper);
+                let inbox = vec![Envelope::new(ProcessId::new(1), SessionMsg::new(round))];
+                let _ = algo.step(inbox);
+            }
+            assert!(seen.len() > 1, "{algo:?}: fingerprint never moved");
+        }
+    }
+
+    /// The shared-memory counterpart, relays included.
+    #[test]
+    fn sm_algo_fingerprints_agree_with_their_ports() {
+        let (c1, c2) = (Dur::from_int(1), Dur::from_int(3));
+        let var = VarId::new(0);
+        let me = ProcessId::new(0);
+        let algos = [
+            SmAlgo::Sync(SyncSmPort::new(var, 3)),
+            SmAlgo::Periodic(PeriodicSmPort::new(me, var, 3, 2)),
+            SmAlgo::SemiSync(SemiSyncSmPort::new(me, var, 3, 2, c1, c2, 1).expect("valid params")),
+            SmAlgo::Async(AsyncSmPort::new(me, var, 3, 2)),
+            SmAlgo::Relay(RelayProcess::new(vec![var, VarId::new(1)])),
+            SmAlgo::Naive(NaiveSmPort::new(var, 3)),
+            SmAlgo::CheatStepCounting(
+                naive_semisync_sm_port(var, 3, c1, c2).expect("valid params"),
+            ),
+        ];
+        for mut algo in algos {
+            let mut seen = BTreeSet::new();
+            for round in 0..4u64 {
+                let wrapper = algo.fingerprint();
+                assert_eq!(
+                    sm_port_fingerprints(&algo),
+                    [wrapper; 3],
+                    "{algo:?} after {round} steps"
+                );
+                seen.insert(wrapper);
+                let mut value = Knowledge::new();
+                value.announce(ProcessId::new(1), round + 1);
+                let _ = algo.step(&value);
+            }
+            assert!(seen.len() > 1, "{algo:?}: fingerprint never moved");
+        }
+    }
 
     #[test]
     fn assignments_enumerate_the_cartesian_power() {
@@ -1249,10 +1580,12 @@ mod tests {
     #[test]
     fn sm_relay_steps_are_not_port_steps() {
         let mut machine = sync_sm_machine(2, 1);
-        let relay_choice = machine
-            .eligible()
+        let mut menu = Menu::default();
+        machine.build_menu(&mut menu);
+        let relay_choice = menu
+            .events()
             .iter()
-            .position(|&p| p >= 2)
+            .position(|e| e.at >= 2)
             .expect("tree has a relay");
         let info = machine.apply(relay_choice, None);
         assert_eq!(info.port, None);
@@ -1313,21 +1646,24 @@ mod tests {
         // Fire p0's step with delay combo 0 (both deliveries at delay 0,
         // i.e. due immediately).
         let _ = machine.apply(0, None);
-        let deliveries: Vec<usize> = machine
-            .eligible()
-            .into_iter()
-            .filter(|&i| matches!(machine.pending[i].kind, PendingKind::Deliver { .. }))
-            .collect();
-        assert_eq!(deliveries.len(), 2, "delay 0 deliveries due at once");
+        let mut menu = Menu::default();
+        machine.build_menu(&mut menu);
+        let deliveries = menu
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EligibleKind::Deliver { .. }))
+            .count();
+        assert_eq!(deliveries, 2, "delay 0 deliveries due at once");
         // Flat choice for the first delivery: skip past the weights of the
         // eligible events before it (p1's own first step broadcasts, so it
         // carries 2 gaps × 4 delay combos = 8 choices).
-        let first_delivery = machine
-            .eligible()
-            .into_iter()
-            .take_while(|&i| !matches!(machine.pending[i].kind, PendingKind::Deliver { .. }))
-            .map(|i| machine.event_weight(i))
-            .sum::<usize>();
+        let first = menu
+            .events()
+            .iter()
+            .position(|e| matches!(e.kind, EligibleKind::Deliver { .. }))
+            .expect("a delivery is eligible");
+        let first_delivery = menu.range(first).start;
+        assert_eq!(first_delivery, 8);
         let info = machine.apply(first_delivery, None);
         assert!(!info.is_process_step);
         assert_eq!(machine.inboxes.iter().map(|i| i.len()).sum::<usize>(), 1);

@@ -33,10 +33,11 @@
 //! the record logged for a key must not depend on which worker won its
 //! claim. The memo key ([`crate::explore::state_key`]) equates machines
 //! whose pending queues hold the same multiset in a different order,
-//! which is safe precisely because [`MpMachine::eligible`] enumerates
-//! the choice menu in the canonical order the hash is computed over —
-//! equal hashes mean equal menus, so every representative of the class
-//! expands to the same record and first-claim is harmless.
+//! which is safe precisely because [`MpMachine`] keeps its pending
+//! events in the canonical order the hash is computed over, and its
+//! choice menu is their eligible prefix — equal hashes mean equal menus,
+//! so every representative of the class expands to the same record and
+//! first-claim is harmless.
 //!
 //! Symmetry reduction is the one layer where the memo key is coarser
 //! than the menu: the canonical key equates *permuted* states whose
@@ -53,7 +54,7 @@
 //! `reduce=symmetry` runs on genuinely symmetric targets; replay skips
 //! their records via the memo, so reported counts stay serial-exact.
 //!
-//! [`MpMachine::eligible`]: crate::machine::MpMachine
+//! [`MpMachine`]: crate::machine::MpMachine
 //!
 //! Two escape hatches keep that argument airtight:
 //!
@@ -99,6 +100,7 @@ use crate::explore::{
     check_step, explore_witnesses, route_key, AnyMachine, Exploration, ExploreOpts, ReductionStats,
     SessionCounter, MEMO_COMPLETE,
 };
+use crate::machine::Menu;
 use crate::profile::{ExploreProfile, FlightOpts, WorkerProfile, FLIGHT_BUFFER_CAP};
 use crate::{por, symmetry};
 
@@ -119,9 +121,10 @@ enum Child {
     Open(AnyMachine, Option<SessionCounter>),
 }
 
-fn make_child(machine: &AnyMachine, counter: &SessionCounter, choice: usize) -> Child {
+/// The child of `machine` at `choice` of its built `menu`.
+fn make_child(machine: &AnyMachine, menu: &Menu, counter: &SessionCounter, choice: usize) -> Child {
     let mut next = machine.clone();
-    let info = next.apply(choice, None);
+    let info = next.apply_menu(menu, choice);
     let next_counter = info.port.is_some().then(|| {
         let mut cloned = counter.clone();
         cloned.observe(&info);
@@ -389,6 +392,8 @@ struct Expander<'a> {
     max_depth: usize,
     opts: ExploreOpts,
     log: Vec<u64>,
+    /// The menu of the state being expanded, rebuilt in place per state.
+    menu: Menu,
     /// Child claims attempted, won or lost.
     claims: u64,
     progress: Option<&'a ProgressBoard>,
@@ -414,11 +419,13 @@ impl Expander<'_> {
             depth,
             key,
         } = item;
-        let choices = machine.choice_count();
+        let mut menu = std::mem::take(&mut self.menu);
+        machine.build_menu(&mut menu);
+        let choices = menu.choice_count();
         debug_assert!(choices > 0, "non-quiescent machine must have events");
         debug_assert!(choices < (1 << 16), "choice menu exceeds the log encoding");
         let ample = if self.opts.por {
-            por::select_ample(&machine, &counter)
+            por::select_ample(&machine, &menu, &counter)
         } else {
             None
         };
@@ -448,7 +455,7 @@ impl Expander<'_> {
         }
         let mut logged = 0u64;
         for choice in range {
-            match make_child(&machine, &counter, choice) {
+            match make_child(&machine, &menu, &counter, choice) {
                 Child::Pruned(code) => {
                     self.log.push(TAG_PRUNED);
                     self.log.push(code_tag(code));
@@ -482,6 +489,7 @@ impl Expander<'_> {
             logged += 1;
         }
         self.log[record + 2] = logged | (choices as u64) << 16 | flags;
+        self.menu = menu;
     }
 
     fn flush_progress(&mut self) {
@@ -673,7 +681,10 @@ impl<'g> Replay<'g> {
     fn new(graph: &'g Graph, max_depth: usize) -> Replay<'g> {
         Replay {
             graph,
-            memo: FxHashMap::default(),
+            // Sized for every record up front: growing it mid-replay
+            // rehashes with the old and new tables both alive, which set
+            // the exploration's peak memory.
+            memo: FxHashMap::with_capacity_and_hasher(graph.index.len(), Default::default()),
             on_path: FxHashSet::default(),
             codes: BTreeSet::new(),
             states: 0,
@@ -923,6 +934,7 @@ fn explore_partitioned(
                         max_depth,
                         opts,
                         log: Vec::new(),
+                        menu: Menu::default(),
                         claims: 0,
                         progress,
                         batch_states: 0,

@@ -49,15 +49,20 @@
 use std::ops::Range;
 
 use crate::explore::{AnyMachine, SessionCounter};
-use crate::machine::{EligibleKind, MpMachine, SmMachine};
+use crate::machine::{EligibleKind, Menu, MpMachine, SmMachine};
 
 /// Picks an ample singleton for the state, as a contiguous range of the
 /// flat choice menu (one event with all its gap/delay sub-choices), or
-/// `None` when the state must be fully expanded.
-pub(crate) fn select_ample(machine: &AnyMachine, counter: &SessionCounter) -> Option<Range<usize>> {
+/// `None` when the state must be fully expanded. `menu` is the state's own
+/// menu ([`AnyMachine::build_menu`]).
+pub(crate) fn select_ample(
+    machine: &AnyMachine,
+    menu: &Menu,
+    counter: &SessionCounter,
+) -> Option<Range<usize>> {
     match machine {
-        AnyMachine::Sm(m) => select_sm(m, counter),
-        AnyMachine::Mp(m) => select_mp(m, counter),
+        AnyMachine::Sm(m) => select_sm(m, menu, counter),
+        AnyMachine::Mp(m) => select_mp(m, menu, counter),
     }
 }
 
@@ -71,12 +76,22 @@ fn close_possible(counter: &SessionCounter, visible_ports: impl Iterator<Item = 
     fresh.len() >= counter.ports_missing()
 }
 
-fn select_sm(m: &SmMachine, counter: &SessionCounter) -> Option<Range<usize>> {
-    let eligible = m.eligible_processes();
-    if eligible.len() <= 1 {
+/// The stepping process of a menu event (every shared-memory event is a
+/// step).
+fn stepper(kind: EligibleKind) -> Option<usize> {
+    match kind {
+        EligibleKind::Step { process, .. } => Some(process),
+        EligibleKind::Deliver { .. } => None,
+    }
+}
+
+fn select_sm(m: &SmMachine, menu: &Menu, counter: &SessionCounter) -> Option<Range<usize>> {
+    let events = menu.events();
+    if events.len() <= 1 {
         return None;
     }
-    let per = m.menu_len();
+    let eligible: Vec<usize> = events.iter().filter_map(|e| stepper(e.kind)).collect();
+    debug_assert_eq!(eligible.len(), events.len());
     let targets: Vec<usize> = eligible.iter().map(|&p| m.current_target(p)).collect();
     let n_ports = m.n_ports();
     // Port tag exactly as `apply` computes it; visible to the counter only
@@ -108,21 +123,15 @@ fn select_sm(m: &SmMachine, counter: &SessionCounter) -> Option<Range<usize>> {
         if is_visible_port(pos) && closing {
             continue;
         }
-        return Some(pos * per..(pos + 1) * per);
+        return Some(menu.range(pos));
     }
     None
 }
 
-fn select_mp(m: &MpMachine, counter: &SessionCounter) -> Option<Range<usize>> {
-    let events = m.eligible_events();
+fn select_mp(m: &MpMachine, menu: &Menu, counter: &SessionCounter) -> Option<Range<usize>> {
+    let events = menu.events();
     if events.len() <= 1 {
         return None;
-    }
-    let mut offsets = Vec::with_capacity(events.len());
-    let mut offset = 0usize;
-    for event in &events {
-        offsets.push(offset);
-        offset += event.weight;
     }
     // A delivery is independent of everything except the recipient's own
     // step (and deliveries change neither claims nor the counter).
@@ -130,11 +139,9 @@ fn select_mp(m: &MpMachine, counter: &SessionCounter) -> Option<Range<usize>> {
         let EligibleKind::Deliver { to } = event.kind else {
             continue;
         };
-        let recipient_steps = events
-            .iter()
-            .any(|e| matches!(e.kind, EligibleKind::Step { process, .. } if process == to));
+        let recipient_steps = events.iter().any(|e| stepper(e.kind) == Some(to));
         if !recipient_steps {
-            return Some(offsets[i]..offsets[i] + event.weight);
+            return Some(menu.range(i));
         }
     }
     // Step singletons are off the table for claim-tracking machines: the
@@ -146,13 +153,13 @@ fn select_mp(m: &MpMachine, counter: &SessionCounter) -> Option<Range<usize>> {
     let zero_delay = m.has_zero_delay();
     let closing = close_possible(
         counter,
-        events.iter().filter_map(|e| match e.kind {
-            EligibleKind::Step { process, .. } if !counter.is_idle(process) => Some(process),
-            _ => None,
-        }),
+        events
+            .iter()
+            .filter_map(|e| stepper(e.kind))
+            .filter(|&process| !counter.is_idle(process)),
     );
     for (i, event) in events.iter().enumerate() {
-        let EligibleKind::Step { process, .. } = event.kind else {
+        let Some(process) = stepper(event.kind) else {
             continue;
         };
         // An eligible delivery to this process is dependent on its step.
@@ -184,7 +191,7 @@ fn select_mp(m: &MpMachine, counter: &SessionCounter) -> Option<Range<usize>> {
         if !counter.is_idle(process) && closing {
             continue;
         }
-        return Some(offsets[i]..offsets[i] + event.weight);
+        return Some(menu.range(i));
     }
     None
 }
@@ -232,10 +239,13 @@ mod tests {
         // nothing may still be ample.)
         let machine = sync_sm(2, 2);
         let counter = SessionCounter::new(2, 2);
-        if let Some(range) = select_sm(&machine, &counter) {
-            let per = machine.menu_len();
-            let pos = range.start / per;
-            let p = machine.eligible_processes()[pos];
+        let mut menu = Menu::default();
+        machine.build_menu(&mut menu);
+        if let Some(range) = select_sm(&machine, &menu, &counter) {
+            let pos = (0..menu.events().len())
+                .position(|i| menu.range(i) == range)
+                .expect("the ample range is one event's block");
+            let p = stepper(menu.events()[pos].kind).expect("shared memory only steps");
             assert!(p >= 2, "only a relay may be ample here, got process {p}");
         }
     }
@@ -246,13 +256,17 @@ mod tests {
         // step order can close a session, so no singleton is ample.
         let machine = sync_mp(3, 2);
         let counter = SessionCounter::new(3, 2);
-        assert_eq!(select_mp(&machine, &counter), None);
+        let mut menu = Menu::default();
+        machine.build_menu(&mut menu);
+        assert_eq!(select_mp(&machine, &menu, &counter), None);
     }
 
     #[test]
     fn mp_single_eligible_event_needs_no_reduction() {
         let machine = sync_mp(1, 2);
         let counter = SessionCounter::new(1, 2);
-        assert_eq!(select_mp(&machine, &counter), None);
+        let mut menu = Menu::default();
+        machine.build_menu(&mut menu);
+        assert_eq!(select_mp(&machine, &menu, &counter), None);
     }
 }

@@ -60,7 +60,7 @@ pub fn replay(root: &AnyMachine, path: &[usize]) -> Counterexample {
 fn num_processes(machine: &AnyMachine) -> usize {
     match machine {
         AnyMachine::Sm(m) => m.algos().len(),
-        AnyMachine::Mp(m) => m.fingerprints().len(),
+        AnyMachine::Mp(m) => m.num_processes(),
     }
 }
 
@@ -92,7 +92,7 @@ pub fn self_check(
     if let Some(expected) = expected_sessions {
         let n = match root {
             AnyMachine::Sm(m) => m.n_ports(),
-            AnyMachine::Mp(m) => m.fingerprints().len(),
+            AnyMachine::Mp(m) => m.num_processes(),
         };
         let counted = match root {
             AnyMachine::Sm(_) => count_sessions(&counterexample.trace, n, |_| None),

@@ -46,7 +46,7 @@ pub(crate) const MAX_PERMUTED: usize = 5;
 /// target is not symmetric (shared memory, identity-carrying algorithms,
 /// or a scope past [`MAX_PERMUTED`]) and the caller must fall back to the
 /// plain key.
-pub(crate) fn canonical_key(machine: &AnyMachine, counter: &SessionCounter) -> Option<u64> {
+pub fn canonical_key(machine: &AnyMachine, counter: &SessionCounter) -> Option<u64> {
     let AnyMachine::Mp(m) = machine else {
         return None;
     };

@@ -53,7 +53,7 @@ use session_types::{Dur, KnownBounds, Ratio};
 use crate::dbm::{Bound, Dbm};
 use crate::diag::LintCode;
 use crate::explore::{check_step, AnyMachine, SessionCounter};
-use crate::machine::ZoneEvent;
+use crate::machine::{Menu, ZoneEvent};
 use crate::scope::Scope;
 
 /// DBM index of the global elapsed-time clock.
@@ -691,9 +691,11 @@ impl ControlCollector {
         self.controls.insert(machine.control_hash());
         self.on_path.insert(key);
         let mut complete = true;
-        for choice in 0..machine.choice_count() {
+        let mut menu = Menu::default();
+        machine.build_menu(&mut menu);
+        for choice in 0..menu.choice_count() {
             let mut next = machine.clone();
-            let info = next.apply(choice, None);
+            let info = next.apply_menu(&menu, choice);
             let observed;
             let next_counter = if info.port.is_some() {
                 let mut cloned = counter.clone();

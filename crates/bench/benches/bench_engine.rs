@@ -12,7 +12,7 @@ use session_types::{Dur, PortId, ProcessId, VarId};
 use std::time::Duration;
 
 /// A minimal SM process: bumps a counter variable forever.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 struct Spinner(VarId);
 
 impl SmProcess<u64> for Spinner {
@@ -24,6 +24,10 @@ impl SmProcess<u64> for Spinner {
     }
     fn is_idle(&self) -> bool {
         false
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 
@@ -40,7 +44,7 @@ fn sm_steps(num_processes: usize, steps: u64) {
 }
 
 /// A minimal MP process: broadcasts every step, never idles.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 struct Chatter;
 
 impl MpProcess<u8> for Chatter {
@@ -49,6 +53,10 @@ impl MpProcess<u8> for Chatter {
     }
     fn is_idle(&self) -> bool {
         false
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

@@ -12,7 +12,7 @@ use crate::msg::SessionMsg;
 /// free); broadcast `m(i, k + 1)` on committing; idle after committing `s`
 /// waves with no final wait — the `(s − 1)(d2 + c2) + c2` upper bound
 /// of \[4\].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct AsyncMpPort {
     s: u64,
     n: usize,
@@ -55,6 +55,10 @@ impl MpProcess<SessionMsg> for AsyncMpPort {
 
     fn is_idle(&self) -> bool {
         self.committed >= self.s
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

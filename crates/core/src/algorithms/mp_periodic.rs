@@ -13,7 +13,7 @@ use crate::msg::SessionMsg;
 ///
 /// Running time (Theorem 4.1): `s · c_max + d2` (plus one step to pick the
 /// last message out of the buffer).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct PeriodicMpPort {
     s: u64,
     n: usize,
@@ -77,6 +77,10 @@ impl MpProcess<SessionMsg> for PeriodicMpPort {
             Some(heard) => self.steps > heard,
             None => false,
         }
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

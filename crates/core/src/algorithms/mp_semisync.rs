@@ -21,7 +21,7 @@ pub enum MpStrategy {
 /// The silent arm: `(s − 1) · (⌊c2/c1⌋ + 1) + 1` steps, then idle. Every
 /// step of a port process is a port step in the message-passing model, so
 /// the argument is identical to the shared-memory step counter.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct StepCountingMpPort {
     needed: u64,
     steps: u64,
@@ -59,12 +59,16 @@ impl MpProcess<SessionMsg> for StepCountingMpPort {
     fn is_idle(&self) -> bool {
         self.steps >= self.needed
     }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
+    }
 }
 
 /// The semi-synchronous port process: picks the cheaper arm by comparing
 /// `(⌊c2/c1⌋ + 1) · c2` (step counting per session) against `d2 + c2`
 /// (communication per session).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum SemiSyncMpPort {
     /// Step-counting arm.
     Silent(StepCountingMpPort),
@@ -134,6 +138,10 @@ impl MpProcess<SessionMsg> for SemiSyncMpPort {
             SemiSyncMpPort::Silent(p) => p.is_idle(),
             SemiSyncMpPort::Talking(p) => p.is_idle(),
         }
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

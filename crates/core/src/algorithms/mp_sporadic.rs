@@ -27,7 +27,7 @@ use crate::msg::SessionMsg;
 ///
 /// Running time (Theorem 6.1):
 /// `min{(⌊u/c1⌋ + 3) · γ + u, d2 + γ} · (s − 1) + γ`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct SporadicMpPort {
     id: ProcessId,
     s: u64,
@@ -207,6 +207,10 @@ impl MpProcess<SessionMsg> for SporadicMpPort {
         // The while loop exits once session reaches s - 1; the step that
         // performed the final increment already broadcast m(i, s - 1).
         self.steps >= 1 && self.session >= self.s.saturating_sub(1)
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

@@ -7,7 +7,7 @@ use crate::msg::SessionMsg;
 /// In the synchronous model all processes step in lockstep every `c2`, and
 /// in the message-passing model every step of a port process is a port step
 /// — so `s` silent steps suffice (Table 1 row 1).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct SyncMpPort {
     s: u64,
     steps: u64,
@@ -35,6 +35,10 @@ impl MpProcess<SessionMsg> for SyncMpPort {
 
     fn is_idle(&self) -> bool {
         self.steps >= self.s
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

@@ -13,7 +13,7 @@ use session_types::{ProcessId, VarId};
 /// Also the **sporadic** shared-memory algorithm (the sporadic constraint
 /// offers nothing a shared-memory algorithm can exploit, §1) and the
 /// communication arm of the semi-synchronous algorithm.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct AsyncSmPort {
     id: ProcessId,
     port_var: VarId,
@@ -66,6 +66,10 @@ impl SmProcess<Knowledge> for AsyncSmPort {
 
     fn is_idle(&self) -> bool {
         self.committed >= self.s
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

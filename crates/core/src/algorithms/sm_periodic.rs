@@ -15,7 +15,7 @@ use session_types::{ProcessId, VarId};
 /// and port-stepping are the same atomic read-modify-write.
 ///
 /// Running time (Theorem 4.1): `s · c_max + O(log_b n) · c_max`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct PeriodicSmPort {
     id: ProcessId,
     port_var: VarId,
@@ -91,6 +91,10 @@ impl SmProcess<Knowledge> for PeriodicSmPort {
             Some(heard) => self.steps > heard,
             None => false,
         }
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

@@ -25,7 +25,7 @@ pub enum SmStrategy {
 /// real time, and every other process steps at least once in any window of
 /// length `c2` — so each block of `B` own steps closes a session, and the
 /// final `+1` step seals the `s`-th.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct StepCountingSmPort {
     port_var: VarId,
     needed: u64,
@@ -81,13 +81,17 @@ impl SmProcess<Knowledge> for StepCountingSmPort {
     fn is_idle(&self) -> bool {
         self.steps >= self.needed
     }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
+    }
 }
 
 /// The semi-synchronous port process: picks the cheaper arm by comparing
 /// the step-counting block `⌊c2/c1⌋ + 1` against the concrete tree-network
 /// flood bound, realizing the `min{…}` of the Table 1 upper bound
 /// `min{(⌊c2/c1⌋ + 1) · c2, O(log_b n) · c2} · (s − 1) + c2`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum SemiSyncSmPort {
     /// Step-counting arm.
     Silent(StepCountingSmPort),
@@ -176,6 +180,10 @@ impl SmProcess<Knowledge> for SemiSyncSmPort {
             SemiSyncSmPort::Silent(p) => p.is_idle(),
             SemiSyncSmPort::Talking(p) => p.is_idle(),
         }
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

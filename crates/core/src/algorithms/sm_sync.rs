@@ -21,7 +21,7 @@ use session_types::VarId;
 /// let _ = p.step(&Knowledge::new());
 /// assert!(p.is_idle());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct SyncSmPort {
     port_var: VarId,
     s: u64,
@@ -62,6 +62,10 @@ impl SmProcess<Knowledge> for SyncSmPort {
 
     fn is_idle(&self) -> bool {
         self.steps >= self.s
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

@@ -270,7 +270,7 @@ mod tests {
 
     /// Broadcasts its step count every step; idles after hearing `goal`
     /// messages.
-    #[derive(Debug)]
+    #[derive(Debug, Hash)]
     struct Chatter {
         sent: u64,
         heard: usize,
@@ -289,6 +289,10 @@ mod tests {
 
         fn is_idle(&self) -> bool {
             self.heard >= self.goal
+        }
+
+        fn fingerprint(&self) -> u64 {
+            session_types::fingerprint_of(self)
         }
     }
 

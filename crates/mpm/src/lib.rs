@@ -30,7 +30,7 @@
 //! use session_types::{Dur, PortId, ProcessId};
 //!
 //! /// Broadcasts once, then idles after hearing from everyone.
-//! #[derive(Debug)]
+//! #[derive(Debug, Hash)]
 //! struct HelloAll {
 //!     heard: usize,
 //!     n: usize,
@@ -49,6 +49,10 @@
 //!     }
 //!     fn is_idle(&self) -> bool {
 //!         self.heard >= self.n
+//!     }
+//!
+//!     fn fingerprint(&self) -> u64 {
+//!         session_types::fingerprint_of(self)
 //!     }
 //! }
 //!

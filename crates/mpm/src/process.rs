@@ -1,8 +1,6 @@
 //! The message-passing process abstraction.
 
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use session_types::ProcessId;
 
@@ -45,13 +43,11 @@ pub trait MpProcess<M>: fmt::Debug + Send {
     fn is_idle(&self) -> bool;
 
     /// A hash of the process's internal state, used to compare global
-    /// states between original and adversarially reordered computations.
-    /// The default hashes the `Debug` rendering.
-    fn fingerprint(&self) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        format!("{self:?}").hash(&mut hasher);
-        hasher.finish()
-    }
+    /// states between original and adversarially reordered computations,
+    /// and by the analyzer's state keys. Implementors hash their state
+    /// structurally: `session_types::fingerprint_of(self)` over a
+    /// `#[derive(Hash)]` state.
+    fn fingerprint(&self) -> u64;
 }
 
 /// What one algorithm step did: the inputs it consumed, the broadcast it
@@ -97,8 +93,9 @@ pub fn step_process<M>(process: &mut dyn MpProcess<M>, inbox: Vec<Envelope<M>>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use session_types::fingerprint_of;
 
-    #[derive(Debug)]
+    #[derive(Debug, Hash)]
     struct Echo {
         last: Option<u32>,
     }
@@ -111,6 +108,10 @@ mod tests {
 
         fn is_idle(&self) -> bool {
             false
+        }
+
+        fn fingerprint(&self) -> u64 {
+            fingerprint_of(self)
         }
     }
 
@@ -149,6 +150,11 @@ mod tests {
         let mut p = Echo { last: None };
         let before = p.fingerprint();
         let _ = p.step(vec![Envelope::new(ProcessId::new(0), 5)]);
-        assert_ne!(before, p.fingerprint());
+        let after = p.fingerprint();
+        assert_ne!(before, after);
+        // Equal states fingerprint equally, whatever path reached them.
+        assert_eq!(after, Echo { last: Some(5) }.fingerprint());
+        let _ = p.step(vec![]);
+        assert_eq!(p.fingerprint(), before);
     }
 }

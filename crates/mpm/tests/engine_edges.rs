@@ -5,7 +5,7 @@ use session_sim::{ConstantDelay, ExplicitSchedule, FixedPeriods, RunLimits, Step
 use session_types::{Dur, PortId, ProcessId, Time};
 
 /// Broadcasts its own id value once, then echoes nothing; idles on demand.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 struct Once {
     sent: bool,
     idle_after_steps: u64,
@@ -24,6 +24,10 @@ impl MpProcess<u32> for Once {
     }
     fn is_idle(&self) -> bool {
         self.steps >= self.idle_after_steps
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 
@@ -155,7 +159,7 @@ fn port_of_unassigned_processes_is_none() {
 fn quiescence_watches_only_port_processes() {
     // The non-port process never idles; the run must still terminate once
     // the two port processes do.
-    #[derive(Debug)]
+    #[derive(Debug, Hash)]
     struct Forever;
     impl MpProcess<u32> for Forever {
         fn step(&mut self, _inbox: Vec<Envelope<u32>>) -> Option<u32> {
@@ -163,6 +167,10 @@ fn quiescence_watches_only_port_processes() {
         }
         fn is_idle(&self) -> bool {
             false
+        }
+
+        fn fingerprint(&self) -> u64 {
+            session_types::fingerprint_of(self)
         }
     }
     let mut engine = MpEngine::new(vec![once(1), once(1), Box::new(Forever)], ports(2)).unwrap();

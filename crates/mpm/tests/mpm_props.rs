@@ -8,7 +8,7 @@ use session_types::{Dur, PortId, ProcessId};
 
 /// Broadcasts a counter every step until it has sent `to_send`, then goes
 /// quiet; idles after hearing `to_hear` messages.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 struct Worker {
     sent: u64,
     to_send: u64,
@@ -29,6 +29,10 @@ impl MpProcess<u64> for Worker {
 
     fn is_idle(&self) -> bool {
         self.heard >= self.to_hear
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

@@ -320,7 +320,7 @@ mod tests {
     use session_types::Dur;
 
     /// Counts down `budget` steps on its variable, then idles.
-    #[derive(Debug)]
+    #[derive(Debug, Hash)]
     struct Countdown {
         var: VarId,
         budget: u32,
@@ -342,6 +342,10 @@ mod tests {
 
         fn is_idle(&self) -> bool {
             self.budget == 0
+        }
+
+        fn fingerprint(&self) -> u64 {
+            session_types::fingerprint_of(self)
         }
     }
 
@@ -418,7 +422,7 @@ mod tests {
     fn watch_defaults_to_ports_when_bound() {
         // Process 1 never idles, but it is not a port process: run must
         // still terminate once the port process is idle.
-        #[derive(Debug)]
+        #[derive(Debug, Hash)]
         struct Forever(VarId);
         impl SmProcess<u64> for Forever {
             fn target(&self) -> VarId {
@@ -429,6 +433,10 @@ mod tests {
             }
             fn is_idle(&self) -> bool {
                 false
+            }
+
+            fn fingerprint(&self) -> u64 {
+                session_types::fingerprint_of(self)
             }
         }
         let bindings = vec![PortBinding {

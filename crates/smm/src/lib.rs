@@ -27,7 +27,7 @@
 //! use session_smm::{SmEngine, SmProcess};
 //! use session_types::{Dur, ProcessId, VarId};
 //!
-//! #[derive(Debug)]
+//! #[derive(Debug, Hash)]
 //! struct Incrementer {
 //!     var: VarId,
 //!     steps_left: u32,
@@ -43,6 +43,10 @@
 //!     }
 //!     fn is_idle(&self) -> bool {
 //!         self.steps_left == 0
+//!     }
+//!
+//!     fn fingerprint(&self) -> u64 {
+//!         session_types::fingerprint_of(self)
 //!     }
 //! }
 //!

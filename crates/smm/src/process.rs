@@ -1,8 +1,6 @@
 //! The shared-memory process abstraction.
 
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use session_types::VarId;
 
@@ -36,21 +34,18 @@ pub trait SmProcess<V>: fmt::Debug {
 
     /// A hash of the process's internal state, used by the lower-bound
     /// machinery to check that reordered computations reach the same global
-    /// state (Claim 5.2). The default hashes the `Debug` rendering, which is
-    /// faithful for the `#[derive(Debug)]` state structs used throughout
-    /// this workspace.
-    fn fingerprint(&self) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        format!("{self:?}").hash(&mut hasher);
-        hasher.finish()
-    }
+    /// state (Claim 5.2), and by the analyzer's state keys. Implementors
+    /// hash their state structurally: `session_types::fingerprint_of(self)`
+    /// over a `#[derive(Hash)]` state.
+    fn fingerprint(&self) -> u64;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use session_types::fingerprint_of;
 
-    #[derive(Debug)]
+    #[derive(Debug, Hash)]
     struct Toggler {
         var: VarId,
         on: bool,
@@ -69,6 +64,10 @@ mod tests {
         fn is_idle(&self) -> bool {
             false
         }
+
+        fn fingerprint(&self) -> u64 {
+            fingerprint_of(self)
+        }
     }
 
     #[test]
@@ -81,6 +80,18 @@ mod tests {
         let _ = t.step(&false);
         let after = t.fingerprint();
         assert_ne!(before, after);
+        // Equal states fingerprint equally, whatever path reached them.
+        let fresh_on = Toggler {
+            var: VarId::new(0),
+            on: true,
+        };
+        assert_eq!(after, fresh_on.fingerprint());
+        // The variable the process targets is state too.
+        let elsewhere = Toggler {
+            var: VarId::new(1),
+            on: true,
+        };
+        assert_ne!(after, elsewhere.fingerprint());
         let _ = t.step(&true);
         assert_eq!(t.fingerprint(), before);
     }

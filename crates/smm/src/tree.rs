@@ -164,7 +164,7 @@ impl TreeSpec {
 /// joins the visited variable into its local [`Knowledge`] and writes the
 /// merged knowledge back — a single atomic read-modify-write, as the model
 /// requires.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct RelayProcess {
     targets: Vec<VarId>,
     cursor: usize,
@@ -205,6 +205,10 @@ impl SmProcess<Knowledge> for RelayProcess {
 
     fn is_idle(&self) -> bool {
         false
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 
@@ -304,7 +308,7 @@ mod tests {
 
     /// A leaf process that announces its id once and then keeps reading,
     /// idling when it has heard from everyone.
-    #[derive(Debug)]
+    #[derive(Debug, Hash)]
     struct Announcer {
         id: ProcessId,
         var: VarId,
@@ -326,6 +330,10 @@ mod tests {
         fn is_idle(&self) -> bool {
             self.knowledge
                 .all_at_least((0..self.n).map(ProcessId::new), 1)
+        }
+
+        fn fingerprint(&self) -> u64 {
+            session_types::fingerprint_of(self)
         }
     }
 

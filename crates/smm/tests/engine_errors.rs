@@ -6,7 +6,7 @@ use session_smm::{JoinSemiLattice, Knowledge, PortBinding, SmEngine, SmProcess};
 use session_types::{Dur, Error, PortId, ProcessId, Time, VarId};
 
 /// A process that can be configured to misbehave by targeting any variable.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 struct Configurable {
     target: VarId,
     steps: u64,
@@ -24,6 +24,10 @@ impl SmProcess<Knowledge> for Configurable {
     }
     fn is_idle(&self) -> bool {
         self.steps >= 2
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

@@ -9,7 +9,7 @@ use session_types::{ProcessId, Time, VarId};
 /// A broken relay: instead of joining the visited variable into its
 /// knowledge, it *replaces* its knowledge with whatever it last read
 /// (last-writer-wins), and writes that back.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 struct OverwritingRelay {
     targets: Vec<VarId>,
     cursor: usize,
@@ -41,10 +41,14 @@ impl SmProcess<Knowledge> for OverwritingRelay {
     fn is_idle(&self) -> bool {
         false
     }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
+    }
 }
 
 /// Announces once, then watches.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 struct Announcer {
     id: ProcessId,
     var: VarId,
@@ -64,6 +68,10 @@ impl SmProcess<Knowledge> for Announcer {
     fn is_idle(&self) -> bool {
         self.knowledge
             .all_at_least((0..self.n).map(ProcessId::new), 1)
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

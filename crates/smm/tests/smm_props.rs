@@ -72,7 +72,7 @@ proptest! {
 }
 
 /// A leaf that announces once and then tracks what it has heard.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 struct Announcer {
     id: ProcessId,
     var: VarId,
@@ -92,6 +92,10 @@ impl SmProcess<Knowledge> for Announcer {
     fn is_idle(&self) -> bool {
         self.knowledge
             .all_at_least((0..self.n).map(ProcessId::new), 1)
+    }
+
+    fn fingerprint(&self) -> u64 {
+        session_types::fingerprint_of(self)
     }
 }
 

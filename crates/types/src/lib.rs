@@ -15,6 +15,8 @@
 //! * [`TimingModel`], [`CommModel`], [`KnownBounds`], [`SessionSpec`] — the
 //!   paper's model taxonomy (§2.2) and problem statement (§2.3).
 //! * [`Error`] — the workspace error type.
+//! * [`fingerprint_of`] — the structural state fingerprint every process
+//!   type states its `fingerprint` with.
 //!
 //! # Examples
 //!
@@ -42,12 +44,14 @@
 #![warn(missing_docs)]
 
 mod error;
+mod fingerprint;
 mod ids;
 mod params;
 mod ratio;
 mod time;
 
 pub use error::{Error, Result};
+pub use fingerprint::fingerprint_of;
 pub use ids::{MsgId, PortId, ProcessId, VarId};
 pub use params::{CommModel, KnownBounds, SessionSpec, TimingModel};
 pub use ratio::Ratio;
