@@ -34,11 +34,12 @@
 //! message-passing targets under process permutation before the memo
 //! lookup. [`Exploration::stats`] reports what they saved.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
-use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
+use rustc_hash::{FxHashSet, FxHasher};
 use session_obs::{NullRecorder, ProgressBoard, Recorder};
 use session_types::Dur;
 
@@ -46,6 +47,9 @@ use crate::diag::LintCode;
 use crate::machine::{Menu, MpMachine, SmMachine, StepInfo};
 use crate::partition::PROGRESS_BATCH;
 use crate::profile::{ExploreProfile, FlightOpts, WorkerProfile};
+use crate::scope::Scope;
+use crate::walk::{Counts, Edge, Expansion, Space, Walk};
+use crate::zones::ExplicitReach;
 use crate::{por, symmetry};
 
 /// Either machine, so the explorer and replayer are substrate-agnostic.
@@ -344,6 +348,22 @@ pub struct Exploration {
     pub stats: ReductionStats,
 }
 
+impl Exploration {
+    /// The exploration a walk with `counts` and `violations` reports.
+    pub(crate) fn new(counts: Counts, violations: Vec<FoundViolation>) -> Exploration {
+        Exploration {
+            states: counts.states,
+            violations,
+            truncated: counts.depth_hits > 0,
+            depth_hits: counts.depth_hits,
+            stats: ReductionStats {
+                pruned: counts.pruned,
+                memo_hits: counts.memo_hits,
+            },
+        }
+    }
+}
+
 /// Exhaustively explores every root machine, sharing the memo across
 /// roots. `s` is the required session count, `n` the number of ports,
 /// `max_depth` the per-path event budget.
@@ -362,11 +382,11 @@ pub fn explore_with_opts(
     explore_recorded_opts(roots, n, s, max_depth, opts, &mut NullRecorder)
 }
 
-/// [`explore`] with instrumentation: emits `explore.memo_hits` /
-/// `explore.memo_misses` counters, an `explore.frontier_depth` histogram
-/// (DFS path length at each expansion) and final `explore.states` /
-/// `explore.states_per_sec` gauges to `recorder`, timing each root under
-/// an `explore.root` span.
+/// [`explore`] with instrumentation: emits an `explore.frontier_depth`
+/// histogram (DFS path length at each expansion), final
+/// `explore.memo_hits` / `explore.memo_misses` / `explore.pruned_choices`
+/// counters and `explore.states` / `explore.states_per_sec` gauges to
+/// `recorder`, timing each root under an `explore.root` span.
 pub fn explore_recorded(
     roots: &[AnyMachine],
     n: usize,
@@ -377,9 +397,7 @@ pub fn explore_recorded(
     explore_recorded_opts(roots, n, s, max_depth, ExploreOpts::default(), recorder)
 }
 
-/// [`explore_recorded`] with reduction layers enabled per `opts`. Adds an
-/// `explore.pruned_choices` counter when partial-order reduction skips
-/// successors.
+/// [`explore_recorded`] with reduction layers enabled per `opts`.
 pub fn explore_recorded_opts(
     roots: &[AnyMachine],
     n: usize,
@@ -429,62 +447,34 @@ pub fn explore_flight(
     if let Some(board) = progress {
         board.worker_busy();
     }
-    let mut explorer = Explorer {
-        memo: FxHashMap::default(),
-        on_path: FxHashSet::default(),
-        violations: Vec::new(),
-        states: 0,
-        pruned: 0,
-        memo_hit_count: 0,
-        depth_hits: 0,
-        duplicates: 0,
-        current_root: 0,
-        s,
-        max_depth,
-        opts,
-        early_stop: None,
-        recorder,
+    let space = Explicit {
         progress,
-        batch_states: 0,
-        batch_depth: 0,
-        menus: Vec::new(),
+        ..Explicit::new(s, opts, recorder)
     };
-    for (root_index, root) in roots.iter().enumerate() {
-        explorer.current_root = root_index;
-        let counter = SessionCounter::new(n, s);
-        let mut path = Vec::new();
-        explorer.recorder.span_start("explore.root");
-        explorer.dfs(root.clone(), &counter, &mut path);
-        explorer.recorder.span_end();
-    }
-    explorer.flush_progress();
-    let memo_entries = explorer.memo.len() as u64;
-    let Explorer {
-        states,
-        violations,
-        pruned,
-        memo_hit_count,
-        depth_hits,
-        duplicates,
-        ..
-    } = explorer;
+    let mut walk = walk_roots(space, roots, n, max_depth);
+    walk.space.flush_progress();
+    let memo_entries = walk.memo_len() as u64;
+    let (counts, violations) = (walk.counts, walk.space.violations);
     if let Some(board) = progress {
         board.worker_idle();
     }
     if recorder.is_enabled() {
-        recorder.gauge("explore.states", states as f64);
+        recorder.counter("explore.memo_hits", counts.memo_hits);
+        recorder.counter("explore.memo_misses", counts.memo_misses);
+        recorder.counter("explore.pruned_choices", counts.pruned);
+        recorder.gauge("explore.states", counts.states as f64);
         let elapsed = started.elapsed().as_secs_f64();
         if elapsed > 0.0 {
-            recorder.gauge("explore.states_per_sec", states as f64 / elapsed);
+            recorder.gauge("explore.states_per_sec", counts.states as f64 / elapsed);
         }
     }
     let profile = flight.profile.then(|| {
         let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut worker = WorkerProfile::new();
-        worker.states = states;
+        worker.states = counts.states;
         worker.items = roots.len() as u64;
         worker.busy_ns = wall_ns;
-        worker.duplicate_expansions = duplicates;
+        worker.duplicate_expansions = counts.duplicates;
         worker.seal();
         ExploreProfile {
             target: String::new(),
@@ -494,9 +484,9 @@ pub fn explore_flight(
             max_depth,
             por: opts.por,
             symmetry: opts.symmetry,
-            states,
+            states: counts.states,
             unique_states: memo_entries,
-            duplicate_expansions: duplicates,
+            duplicate_expansions: counts.duplicates,
             route_send: 0,
             route_recv: 0,
             local_msgs: 0,
@@ -510,36 +500,8 @@ pub fn explore_flight(
             workers: vec![worker],
         }
     });
-    let exploration = Exploration {
-        states,
-        violations,
-        truncated: depth_hits > 0,
-        depth_hits,
-        stats: ReductionStats {
-            pruned,
-            memo_hits: memo_hit_count,
-        },
-    };
-    (exploration, profile)
+    (Exploration::new(counts, violations), profile)
 }
-
-/// What a `dfs` call reports back to its parent expansion.
-#[derive(Clone, Copy)]
-struct SubtreeOutcome {
-    /// `false` when the depth budget cut something below this state — the
-    /// state must then not be memoized, so a shallower revisit gets to
-    /// finish the job.
-    complete: bool,
-    /// `true` when this state itself closed a cycle on the DFS stack.
-    /// Feeds the ample selector's cycle proviso: an ample successor that
-    /// loops straight back onto the stack could postpone the pruned
-    /// events forever, so the parent falls back to full expansion.
-    closed_cycle: bool,
-}
-
-/// Memo value marking a subtree explored with no depth cut below it —
-/// nothing on any continuation remains unseen, at any budget.
-pub(crate) const MEMO_COMPLETE: usize = usize::MAX;
 
 /// The (machine × counter) memo key: the symmetry-canonical key when the
 /// reduction is on and the target is eligible, the plain combined
@@ -576,6 +538,18 @@ pub(crate) fn state_key(machine: &AnyMachine, counter: &SessionCounter, symmetry
 pub fn route_key(machine: &AnyMachine, counter: &SessionCounter) -> u64 {
     state_key(machine, counter, false)
 }
+
+/// `SA001`'s message when a quiescent state's `counter` closed fewer
+/// than `s` sessions.
+pub(crate) fn session_deficit(counter: &SessionCounter, s: u64) -> Option<String> {
+    let sessions = counter.sessions();
+    (sessions < s).then(|| {
+        format!("admissible schedule reaches quiescence with {sessions} of {s} required sessions")
+    })
+}
+
+/// `SA005`'s message.
+pub(crate) const LASSO: &str = "admissible schedule loops without reaching quiescence (lasso)";
 
 /// Step-level rules: `SA002`, `SA003`, `SA004` (un-idle). Pure edge
 /// predicate — shared by every exploration mode (and exercised directly
@@ -631,83 +605,87 @@ pub(crate) fn explore_witnesses(
     opts: ExploreOpts,
     codes: &BTreeSet<LintCode>,
 ) -> Vec<FoundViolation> {
-    if codes.is_empty() {
-        return Vec::new();
-    }
-    let mut explorer = Explorer {
-        memo: FxHashMap::default(),
-        on_path: FxHashSet::default(),
-        violations: Vec::new(),
-        states: 0,
-        pruned: 0,
-        memo_hit_count: 0,
-        depth_hits: 0,
-        duplicates: 0,
-        current_root: 0,
-        s,
-        max_depth,
-        opts: ExploreOpts { threads: 1, ..opts },
+    let mut recorder = NullRecorder;
+    let space = Explicit {
         early_stop: Some(codes.clone()),
-        recorder: &mut NullRecorder,
-        progress: None,
-        batch_states: 0,
-        batch_depth: 0,
-        menus: Vec::new(),
+        ..Explicit::new(s, ExploreOpts { threads: 1, ..opts }, &mut recorder)
     };
-    for (root_index, root) in roots.iter().enumerate() {
-        if explorer.early_stop_satisfied() {
-            break;
-        }
-        explorer.current_root = root_index;
-        let counter = SessionCounter::new(n, s);
-        let mut path = Vec::new();
-        explorer.dfs(root.clone(), &counter, &mut path);
-    }
-    explorer.violations
+    walk_roots(space, roots, n, max_depth).space.violations
 }
 
-struct Explorer<'r> {
-    /// States (machine × counter) already explored, mapped to the largest
-    /// remaining-depth budget that exploration had: [`MEMO_COMPLETE`] for
-    /// fully explored subtrees, otherwise the budget a truncated
-    /// exploration ran with. A revisit with no more budget than a stored
-    /// entry cannot reach anything new (every violation within the
-    /// smaller budget was already recorded), so only strictly deeper
-    /// revisits re-expand — this is what keeps depth-limited exploration
-    /// of wide spaces from re-walking truncated subtrees exponentially.
-    memo: FxHashMap<u64, usize>,
-    /// States on the current DFS path, for lasso detection.
-    on_path: FxHashSet<u64>,
+/// A state of the explicit walks. Steps the session counter does not see
+/// (the bulk of most menus) borrow the parent's counter.
+struct Node<'a> {
+    machine: AnyMachine,
+    counter: Cow<'a, SessionCounter>,
+}
+
+/// A successor edge's result: pruned at a step-level lint, or an open
+/// child state (with its advanced counter when the step was visible to
+/// the session counter).
+pub(crate) enum Child {
+    Pruned(LintCode, String),
+    Open(AnyMachine, Option<SessionCounter>),
+}
+
+/// The child of `machine` at `choice` of its built `menu`.
+pub(crate) fn make_child(
+    machine: &AnyMachine,
+    menu: &Menu,
+    counter: &SessionCounter,
+    choice: usize,
+) -> Child {
+    let mut next = machine.clone();
+    let info = next.apply_menu(menu, choice);
+    let next_counter = info.port.is_some().then(|| {
+        let mut cloned = counter.clone();
+        cloned.observe(&info);
+        cloned
+    });
+    let effective = next_counter.as_ref().unwrap_or(counter);
+    match check_step(&info, &next, effective) {
+        Some((code, message)) => Child::Pruned(code, message),
+        None => Child::Open(next, next_counter),
+    }
+}
+
+/// The explicit state space, keyed by [`state_key`]: the serial explorer,
+/// the parallel explorer's witness re-derivation and, collecting control
+/// hashes, the explicit side of the `SA012` cross-check.
+struct Explicit<'r> {
+    s: u64,
+    opts: ExploreOpts,
     /// First witness per lint code.
     violations: Vec<FoundViolation>,
-    states: u64,
-    pruned: u64,
-    memo_hit_count: u64,
-    depth_hits: u64,
-    /// Re-expansions of a state already memoized at a smaller budget
-    /// (the serial baseline for the parallel explorer's
-    /// duplicate-expansion count).
-    duplicates: u64,
     current_root: usize,
-    s: u64,
-    max_depth: usize,
-    opts: ExploreOpts,
-    /// When set, exploration stops as soon as every listed code has a
-    /// recorded witness (the parallel explorer's witness re-derivation).
+    /// When set, the walk stops once every listed code has a witness.
     early_stop: Option<BTreeSet<LintCode>>,
     recorder: &'r mut dyn Recorder,
     /// Live-progress scoreboard, updated in [`PROGRESS_BATCH`] batches.
     progress: Option<&'r ProgressBoard>,
     batch_states: u64,
     batch_depth: u64,
-    /// Menu buffers, one per expansion on the DFS stack, reused across
-    /// states so building a menu allocates nothing in steady state.
+    /// One reused menu buffer per path depth.
     menus: Vec<Menu>,
+    /// When set, collects the control hash of every expanded state.
+    controls: Option<FxHashSet<u64>>,
 }
 
-impl Explorer<'_> {
-    fn key(&self, machine: &AnyMachine, counter: &SessionCounter) -> u64 {
-        state_key(machine, counter, self.opts.symmetry)
+impl<'r> Explicit<'r> {
+    fn new(s: u64, opts: ExploreOpts, recorder: &'r mut dyn Recorder) -> Explicit<'r> {
+        Explicit {
+            s,
+            opts,
+            violations: Vec::new(),
+            current_root: 0,
+            early_stop: None,
+            recorder,
+            progress: None,
+            batch_states: 0,
+            batch_depth: 0,
+            menus: Vec::new(),
+            controls: None,
+        }
     }
 
     /// Whether early-stop mode has found everything it was asked for.
@@ -730,102 +708,6 @@ impl Explorer<'_> {
         });
     }
 
-    fn dfs(
-        &mut self,
-        machine: AnyMachine,
-        counter: &SessionCounter,
-        path: &mut Vec<usize>,
-    ) -> SubtreeOutcome {
-        let done = SubtreeOutcome {
-            complete: true,
-            closed_cycle: false,
-        };
-        if self.early_stop_satisfied() {
-            // Witness re-derivation has everything it needs; unwind without
-            // memoizing (a cut here is not a budget truncation).
-            return SubtreeOutcome {
-                complete: false,
-                closed_cycle: false,
-            };
-        }
-        if machine.is_quiescent() {
-            if counter.sessions() < self.s {
-                let message = format!(
-                    "admissible schedule reaches quiescence with {} of {} required sessions",
-                    counter.sessions(),
-                    self.s
-                );
-                self.record(LintCode::SessionDeficit, message, path);
-            }
-            return done;
-        }
-        let key = self.key(&machine, counter);
-        if self.on_path.contains(&key) {
-            self.record(
-                LintCode::NonTermination,
-                "admissible schedule loops without reaching quiescence (lasso)".to_string(),
-                path,
-            );
-            return SubtreeOutcome {
-                complete: true,
-                closed_cycle: true,
-            };
-        }
-        let remaining = self.max_depth.saturating_sub(path.len());
-        if let Some(&budget) = self.memo.get(&key) {
-            if budget >= remaining {
-                self.memo_hit_count += 1;
-                self.recorder.counter("explore.memo_hits", 1);
-                if budget == MEMO_COMPLETE {
-                    return done;
-                }
-                // The stored exploration was cut at a budget at least as
-                // large as this one, so this revisit would be cut too.
-                self.depth_hits += 1;
-                return SubtreeOutcome {
-                    complete: false,
-                    closed_cycle: false,
-                };
-            }
-        }
-        self.recorder.counter("explore.memo_misses", 1);
-        if path.len() >= self.max_depth {
-            self.depth_hits += 1;
-            return SubtreeOutcome {
-                complete: false,
-                closed_cycle: false,
-            };
-        }
-        self.states += 1;
-        if self.progress.is_some() {
-            self.batch_states += 1;
-            self.batch_depth = self.batch_depth.max(path.len() as u64);
-            if self.batch_states >= PROGRESS_BATCH {
-                self.flush_progress();
-            }
-        }
-        self.on_path.insert(key);
-        let complete = self.expand(&machine, counter, path);
-        self.on_path.remove(&key);
-        let explored_budget = if complete { MEMO_COMPLETE } else { remaining };
-        match self.memo.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut entry) => {
-                // This expansion redid work an earlier, smaller-budget walk
-                // of the same state had already done.
-                self.duplicates += 1;
-                let stored = entry.get_mut();
-                *stored = (*stored).max(explored_budget);
-            }
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert(explored_budget);
-            }
-        }
-        SubtreeOutcome {
-            complete,
-            closed_cycle: false,
-        }
-    }
-
     /// Publishes the batched progress counters to the scoreboard.
     fn flush_progress(&mut self) {
         let Some(board) = self.progress else { return };
@@ -835,115 +717,118 @@ impl Explorer<'_> {
         }
         board.raise_depth(self.batch_depth);
     }
+}
 
-    /// Expands one choice of `menu` (the parent's) and recurses; returns
-    /// the child's outcome (`complete` when the edge was pruned at a
-    /// step-level violation — pruning below a witness is deliberate, not a
-    /// budget cut).
-    fn explore_choice(
-        &mut self,
-        machine: &AnyMachine,
-        menu: &Menu,
-        counter: &SessionCounter,
-        choice: usize,
-        path: &mut Vec<usize>,
-    ) -> SubtreeOutcome {
-        path.push(choice);
-        let mut next = machine.clone();
-        let info = next.apply_menu(menu, choice);
-        // The counter only advances on port steps — deliveries and relay
-        // steps (the bulk of most menus) reuse the parent's counter
-        // without cloning it.
-        let observed;
-        let next_counter = if info.port.is_some() {
-            let mut cloned = counter.clone();
-            cloned.observe(&info);
-            observed = cloned;
-            &observed
-        } else {
-            counter
-        };
-        let outcome = match check_step(&info, &next, next_counter) {
-            Some((code, message)) => {
-                self.record(code, message, path);
-                SubtreeOutcome {
-                    complete: true,
-                    closed_cycle: false,
-                }
+impl Space for Explicit<'_> {
+    type State<'a> = Node<'a>;
+    type Summary = ();
+
+    fn key(&mut self, node: &Node<'_>, path: &[usize]) -> Option<u64> {
+        // Witness re-derivation that has every code it wants unwinds as
+        // if at leaves: nothing it could still record is new.
+        if self.early_stop_satisfied() {
+            return None;
+        }
+        if node.machine.is_quiescent() {
+            if let Some(message) = session_deficit(&node.counter, self.s) {
+                self.record(LintCode::SessionDeficit, message, path);
             }
-            None => self.dfs(next, next_counter, path),
-        };
-        path.pop();
-        outcome
+            return None;
+        }
+        Some(state_key(&node.machine, &node.counter, self.opts.symmetry))
     }
 
-    /// Expands a state's successors — the ample subset when partial-order
-    /// reduction is on and finds one, the full menu otherwise. Returns
-    /// `false` when any explored subtree was cut at the depth budget.
-    fn expand(
-        &mut self,
-        machine: &AnyMachine,
-        counter: &SessionCounter,
-        path: &mut Vec<usize>,
-    ) -> bool {
-        let mut menu = self.menus.pop().unwrap_or_default();
-        machine.build_menu(&mut menu);
-        let complete = self.expand_menu(machine, &menu, counter, path);
-        self.menus.push(menu);
-        complete
+    fn lasso(&mut self, path: &[usize]) {
+        self.record(LintCode::NonTermination, LASSO.to_string(), path);
     }
 
-    /// [`Explorer::expand`] over the state's built `menu`.
-    fn expand_menu(
-        &mut self,
-        machine: &AnyMachine,
-        menu: &Menu,
-        counter: &SessionCounter,
-        path: &mut Vec<usize>,
-    ) -> bool {
-        let choices = menu.choice_count();
-        debug_assert!(choices > 0, "non-quiescent machine must have events");
+    fn expand(&mut self, node: &Node<'_>, path: &[usize]) -> Expansion {
+        if let Some(controls) = &mut self.controls {
+            controls.insert(node.machine.control_hash());
+        }
+        if self.progress.is_some() {
+            self.batch_states += 1;
+            self.batch_depth = self.batch_depth.max(path.len() as u64);
+            if self.batch_states >= PROGRESS_BATCH {
+                self.flush_progress();
+            }
+        }
         if self.recorder.is_enabled() {
             self.recorder
                 .observe("explore.frontier_depth", path.len() as f64);
         }
+        let depth = path.len();
+        if self.menus.len() <= depth {
+            self.menus.resize_with(depth + 1, Menu::default);
+        }
+        let menu = &mut self.menus[depth];
+        node.machine.build_menu(menu);
+        let choices = menu.choice_count();
+        debug_assert!(choices > 0, "non-quiescent machine must have events");
         let ample = if self.opts.por {
-            por::select_ample(machine, menu, counter)
+            por::select_ample(&node.machine, menu, &node.counter)
         } else {
             None
         };
-        let Some(ample) = ample else {
-            let mut complete = true;
-            for choice in 0..choices {
-                complete &= self
-                    .explore_choice(machine, menu, counter, choice, path)
-                    .complete;
-            }
-            return complete;
-        };
-        debug_assert!(ample.end <= choices && !ample.is_empty());
-        let mut complete = true;
-        let mut closed_cycle = false;
-        for choice in ample.start..ample.end {
-            let outcome = self.explore_choice(machine, menu, counter, choice, path);
-            complete &= outcome.complete;
-            closed_cycle |= outcome.closed_cycle;
+        Expansion {
+            choices,
+            ample,
+            partial: None,
         }
-        if closed_cycle {
-            // Cycle proviso: an ample successor landed back on the DFS
-            // stack, so the pruned events could be postponed around that
-            // loop forever. Expand the rest of the menu too.
-            for choice in (0..ample.start).chain(ample.end..choices) {
-                complete &= self
-                    .explore_choice(machine, menu, counter, choice, path)
-                    .complete;
+    }
+
+    fn child<'b>(
+        &mut self,
+        parent: &'b Node<'_>,
+        choice: usize,
+        path: &[usize],
+    ) -> Edge<Node<'b>, ()> {
+        let menu = &self.menus[path.len() - 1];
+        match make_child(&parent.machine, menu, &parent.counter, choice) {
+            Child::Pruned(code, message) => {
+                self.record(code, message, path);
+                Edge::Pruned(())
             }
-        } else {
-            let skipped = (choices - ample.len()) as u64;
-            self.pruned += skipped;
-            self.recorder.counter("explore.pruned_choices", skipped);
+            Child::Open(machine, counter) => {
+                let counter = counter.map_or(Cow::Borrowed(&*parent.counter), Cow::Owned);
+                Edge::Open(Node { machine, counter }, ())
+            }
         }
-        complete
+    }
+}
+
+/// Walks `space` from every root in order, sharing the memo across roots.
+fn walk_roots<'r>(
+    space: Explicit<'r>,
+    roots: &[AnyMachine],
+    n: usize,
+    max_depth: usize,
+) -> Walk<Explicit<'r>> {
+    let mut walk = Walk::new(space, max_depth, 0);
+    for (index, root) in roots.iter().enumerate() {
+        walk.space.current_root = index;
+        walk.space.recorder.span_start("explore.root");
+        walk.visit(Node {
+            machine: root.clone(),
+            counter: Cow::Owned(SessionCounter::new(n, walk.space.s)),
+        });
+        walk.space.recorder.span_end();
+    }
+    walk
+}
+
+/// See [`crate::zones::explicit_control_reach`].
+pub(crate) fn control_reach(roots: &[AnyMachine], scope: &Scope) -> ExplicitReach {
+    let mut recorder = NullRecorder;
+    let space = Explicit {
+        controls: Some(FxHashSet::default()),
+        ..Explicit::new(scope.s, ExploreOpts::default(), &mut recorder)
+    };
+    let walk = walk_roots(space, roots, scope.n, scope.max_depth);
+    ExplicitReach {
+        states: walk.counts.states,
+        truncated: walk.counts.depth_hits > 0,
+        controls: walk.space.controls.unwrap_or_default(),
     }
 }
 

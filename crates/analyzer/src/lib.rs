@@ -66,6 +66,7 @@ pub mod replay;
 pub mod scope;
 pub mod symmetry;
 pub mod targets;
+mod walk;
 pub mod zones;
 
 pub use diag::{Diagnostic, LintCode, LintConfig, Report, Severity, TargetSummary};

@@ -15,9 +15,9 @@
 //!   appends an annotated successor record to its worker's log.
 //! * **Serial replay.** After the join, the serial DFS is re-run over
 //!   the *logged key-graph* ([`Replay`]): no machine clones, no step
-//!   application, just the exact budget-aware memo, lasso check, depth
-//!   accounting and POR ample/proviso logic of [`crate::explore`], in
-//!   the serial visit order. Every reported number — `states`, `pruned`,
+//!   application, just the DFS kernel of [`crate::walk`] — the one the
+//!   serial explorer runs — over the logged records, in the serial visit
+//!   order. Every reported number — `states`, `pruned`,
 //!   `memo_hits`, `truncated`, the code set — is therefore *the serial
 //!   explorer's number*, at every thread count, for every reduction
 //!   combination.
@@ -97,11 +97,12 @@ use session_obs::{ProgressBoard, Recorder, TimelineSpan};
 
 use crate::diag::LintCode;
 use crate::explore::{
-    check_step, explore_witnesses, route_key, AnyMachine, Exploration, ExploreOpts, ReductionStats,
-    SessionCounter, MEMO_COMPLETE,
+    explore_witnesses, make_child, route_key, AnyMachine, Child, Exploration, ExploreOpts,
+    SessionCounter,
 };
 use crate::machine::Menu;
 use crate::profile::{ExploreProfile, FlightOpts, WorkerProfile, FLIGHT_BUFFER_CAP};
+use crate::walk::{Counts, Edge, Expansion, Space, Walk};
 use crate::{por, symmetry};
 
 /// Progress updates are batched: workers publish to the shared
@@ -111,30 +112,6 @@ pub(crate) const PROGRESS_BATCH: u64 = 256;
 
 fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// A successor edge's result: pruned at a step-level lint, or an open
-/// child state (with its advanced counter when the step was visible to
-/// the session counter).
-enum Child {
-    Pruned(LintCode),
-    Open(AnyMachine, Option<SessionCounter>),
-}
-
-/// The child of `machine` at `choice` of its built `menu`.
-fn make_child(machine: &AnyMachine, menu: &Menu, counter: &SessionCounter, choice: usize) -> Child {
-    let mut next = machine.clone();
-    let info = next.apply_menu(menu, choice);
-    let next_counter = info.port.is_some().then(|| {
-        let mut cloned = counter.clone();
-        cloned.observe(&info);
-        cloned
-    });
-    let effective = next_counter.as_ref().unwrap_or(counter);
-    match check_step(&info, &next, effective) {
-        Some((code, _message)) => Child::Pruned(code),
-        None => Child::Open(next, next_counter),
-    }
 }
 
 /// The claim table has `2^CLAIM_STRIPE_BITS` stripes, picked by a key's
@@ -456,7 +433,7 @@ impl Expander<'_> {
         let mut logged = 0u64;
         for choice in range {
             match make_child(&machine, &menu, &counter, choice) {
-                Child::Pruned(code) => {
+                Child::Pruned(code, _message) => {
                     self.log.push(TAG_PRUNED);
                     self.log.push(code_tag(code));
                 }
@@ -596,13 +573,6 @@ fn code_from_tag(tag: u64) -> LintCode {
     }
 }
 
-/// How a root enters the replay: quiescent roots are resolved at seed
-/// time (their `SA001` verdict is baked in), open roots start a DFS.
-enum RootEntry {
-    Open(u64),
-    Quiescent(bool),
-}
-
 /// Bits of a packed record position that hold the offset in its log;
 /// the bits above hold the log (worker) index.
 const OFFSET_BITS: u32 = 48;
@@ -637,239 +607,125 @@ impl Graph {
         Graph { logs, index }
     }
 
-    /// The record of `route`, running on to the end of its log.
-    fn record(&self, route: u64) -> &[u64] {
+    /// The record of `route`, parsed.
+    fn state(&self, route: u64) -> Record<'_> {
         let Some(&at) = self.index.get(&route) else {
             // Every open edge targets an expanded state in a cut-free
             // round; an absent record means the log is corrupt.
             unreachable!("state {route:#x} expanded by no worker");
         };
         let offset = (at & ((1 << OFFSET_BITS) - 1)) as usize;
-        &self.logs[(at >> OFFSET_BITS) as usize][offset..]
+        let record = &self.logs[(at >> OFFSET_BITS) as usize][offset..];
+        let meta = record[2];
+        let (ample, children) = if meta & FLAG_AMPLE != 0 {
+            let word = record[3];
+            let range = (word & 0xffff_ffff) as usize..(word >> 32) as usize;
+            (Some(range), &record[4..])
+        } else {
+            (None, &record[3..])
+        };
+        Record {
+            route,
+            memo_key: record[1],
+            choices: ((meta >> 16) & 0xffff) as usize,
+            ample,
+            partial: meta & FLAG_PARTIAL != 0,
+            children,
+        }
     }
 }
 
-/// Replay outcome of one state's subtree (the serial `SubtreeOutcome`).
-#[derive(Clone, Copy)]
-struct ReplayOutcome {
-    complete: bool,
-    closed_cycle: bool,
+/// A logged state. The walk follows route keys (the concrete
+/// representative) and gates on the memo key (its serial class).
+struct Record<'g> {
+    route: u64,
+    memo_key: u64,
+    choices: usize,
+    ample: Option<Range<usize>>,
+    /// Only the ample slice of the menu was logged, from index zero.
+    partial: bool,
+    /// Tag/payload pairs in choice order, running on to the end of the log.
+    children: &'g [u64],
 }
 
-/// The serial explorer re-run over the logged key-graph: identical
-/// control flow, memo semantics and counters, with `u64` lookups where
-/// the serial explorer clones machines.
+/// The serial walk over the logged key-graph.
 struct Replay<'g> {
     graph: &'g Graph,
-    memo: FxHashMap<u64, usize>,
-    on_path: FxHashSet<u64>,
     codes: BTreeSet<LintCode>,
-    states: u64,
-    pruned: u64,
-    memo_hits: u64,
-    memo_misses: u64,
-    depth_hits: u64,
-    duplicates: u64,
-    /// POR-partial states (by route key) where the cycle proviso fired:
-    /// their full menus must be explored next round before the replay
-    /// is exact.
-    needs_full: FxHashSet<u64>,
-    max_depth: usize,
 }
 
-impl<'g> Replay<'g> {
-    fn new(graph: &'g Graph, max_depth: usize) -> Replay<'g> {
-        Replay {
-            graph,
-            // Sized for every record up front: growing it mid-replay
-            // rehashes with the old and new tables both alive, which set
-            // the exploration's peak memory.
-            memo: FxHashMap::with_capacity_and_hasher(graph.index.len(), Default::default()),
-            on_path: FxHashSet::default(),
-            codes: BTreeSet::new(),
-            states: 0,
-            pruned: 0,
-            memo_hits: 0,
-            memo_misses: 0,
-            depth_hits: 0,
-            duplicates: 0,
-            needs_full: FxHashSet::default(),
-            max_depth,
+impl<'g> Space for Replay<'g> {
+    type State<'a> = Record<'g>;
+    type Summary = ();
+
+    /// Quiescent states were resolved at their edge or at seed time.
+    fn key(&mut self, record: &Record<'g>, _path: &[usize]) -> Option<u64> {
+        Some(record.memo_key)
+    }
+
+    fn lasso(&mut self, _path: &[usize]) {
+        self.codes.insert(LintCode::NonTermination);
+    }
+
+    fn expand(&mut self, record: &Record<'g>, _path: &[usize]) -> Expansion {
+        Expansion {
+            choices: record.choices,
+            ample: record.ample.clone(),
+            // The proviso cannot expand what this round never explored.
+            partial: record.partial.then_some(record.route),
         }
     }
 
-    fn run(&mut self, roots: &[RootEntry]) {
-        for root in roots {
-            match root {
-                RootEntry::Quiescent(deficit) => {
-                    if *deficit {
-                        self.codes.insert(LintCode::SessionDeficit);
-                    }
-                }
-                RootEntry::Open(key) => {
-                    let _ = self.dfs(*key, 0);
-                }
-            }
-        }
-    }
-
-    /// `route` identifies the concrete representative the walk arrived
-    /// at (its record); every gate — on-path, memo, budget — runs on the
-    /// serial memo key stored in that record, exactly as the serial DFS
-    /// memoizes the equivalence class while expanding the concrete
-    /// machine it reached.
-    fn dfs(&mut self, route: u64, depth: usize) -> ReplayOutcome {
-        let done = ReplayOutcome {
-            complete: true,
-            closed_cycle: false,
+    /// A pruned edge records its code, a quiescent one its `SA001` verdict.
+    fn child<'b>(
+        &mut self,
+        parent: &'b Record<'g>,
+        choice: usize,
+        _path: &[usize],
+    ) -> Edge<Record<'g>, ()> {
+        let i = match &parent.ample {
+            Some(ample) if parent.partial => choice - ample.start,
+            _ => choice,
         };
-        let graph = self.graph;
-        let record = graph.record(route);
-        let memo_key = record[1];
-        if self.on_path.contains(&memo_key) {
-            self.codes.insert(LintCode::NonTermination);
-            return ReplayOutcome {
-                complete: true,
-                closed_cycle: true,
-            };
-        }
-        let remaining = self.max_depth.saturating_sub(depth);
-        if let Some(&budget) = self.memo.get(&memo_key) {
-            if budget >= remaining {
-                self.memo_hits += 1;
-                if budget == MEMO_COMPLETE {
-                    return done;
-                }
-                self.depth_hits += 1;
-                return ReplayOutcome {
-                    complete: false,
-                    closed_cycle: false,
-                };
-            }
-        }
-        self.memo_misses += 1;
-        if depth >= self.max_depth {
-            self.depth_hits += 1;
-            return ReplayOutcome {
-                complete: false,
-                closed_cycle: false,
-            };
-        }
-        self.states += 1;
-        self.on_path.insert(memo_key);
-        let complete = self.expand(route, record, depth);
-        self.on_path.remove(&memo_key);
-        let budget = if complete { MEMO_COMPLETE } else { remaining };
-        use std::collections::hash_map::Entry;
-        match self.memo.entry(memo_key) {
-            Entry::Occupied(entry) => {
-                let value = entry.into_mut();
-                *value = (*value).max(budget);
-                self.duplicates += 1;
-            }
-            Entry::Vacant(entry) => {
-                entry.insert(budget);
-            }
-        }
-        ReplayOutcome {
-            complete,
-            closed_cycle: false,
-        }
-    }
-
-    /// One logged child: a pruned edge records its code, a quiescent
-    /// edge records its baked `SA001` verdict, an open edge recurses.
-    fn child(&mut self, children: &[u64], i: usize, depth: usize) -> ReplayOutcome {
-        let done = ReplayOutcome {
-            complete: true,
-            closed_cycle: false,
-        };
-        let tag = children[2 * i];
-        let payload = children[2 * i + 1];
-        match tag {
+        let payload = parent.children[2 * i + 1];
+        match parent.children[2 * i] {
             TAG_PRUNED => {
                 self.codes.insert(code_from_tag(payload));
-                done
+                Edge::Pruned(())
             }
             TAG_QUIESCENT => {
                 if payload != 0 {
                     self.codes.insert(LintCode::SessionDeficit);
                 }
-                done
+                Edge::Pruned(())
             }
-            TAG_OPEN => self.dfs(payload, depth + 1),
+            TAG_OPEN => Edge::Open(self.graph.state(payload), ()),
             other => unreachable!("corrupt edge log: child tag {other}"),
         }
     }
+}
 
-    fn expand(&mut self, route: u64, record: &[u64], depth: usize) -> bool {
-        let meta = record[2];
-        let logged = (meta & 0xffff) as usize;
-        let choices = ((meta >> 16) & 0xffff) as usize;
-        let has_ample = meta & FLAG_AMPLE != 0;
-        let partial = meta & FLAG_PARTIAL != 0;
-        let (ample, start) = if has_ample {
-            let word = record[3];
-            let range = Range {
-                start: (word & 0xffff_ffff) as usize,
-                end: (word >> 32) as usize,
-            };
-            (Some(range), 4)
-        } else {
-            (None, 3)
-        };
-        let children = &record[start..];
-        let Some(ample) = ample else {
-            let mut complete = true;
-            for i in 0..logged {
-                complete &= self.child(children, i, depth).complete;
-            }
-            return complete;
-        };
-        // With an ample range the logged children are either the full
-        // menu (flagged states: ample indexes straight in) or just the
-        // ample slice (partial records: indexes shift to zero).
-        let (lo, hi) = if partial {
-            (0, logged)
-        } else {
-            (ample.start, ample.end)
-        };
-        let mut complete = true;
-        let mut closed_cycle = false;
-        for i in lo..hi {
-            let outcome = self.child(children, i, depth);
-            complete &= outcome.complete;
-            closed_cycle |= outcome.closed_cycle;
-        }
-        if closed_cycle {
-            if partial {
-                // The serial explorer would expand the rest of the menu
-                // here (cycle proviso), but this round never explored
-                // it. Flag for the next round; the controller discards
-                // this replay.
-                self.needs_full.insert(route);
-            } else {
-                for i in (0..ample.start).chain(ample.end..logged) {
-                    complete &= self.child(children, i, depth).complete;
-                }
-            }
-        } else {
-            self.pruned += (choices - ample.len()) as u64;
-        }
-        complete
+/// Replays the serial walk over `graph` from the open `roots`. Quiescent
+/// roots were resolved at seed time: `deficit` is their `SA001` verdict.
+fn replay(graph: &Graph, roots: Vec<u64>, deficit: bool, max_depth: usize) -> Walk<Replay<'_>> {
+    let space = Replay {
+        graph,
+        codes: BTreeSet::from_iter(deficit.then_some(LintCode::SessionDeficit)),
+    };
+    // Growing the memo mid-replay would hold the old and new tables at
+    // once, which set the exploration's peak memory.
+    let mut walk = Walk::new(space, max_depth, graph.index.len());
+    for key in roots {
+        walk.visit(graph.state(key));
     }
+    walk
 }
 
 /// Everything Phase A hands the orchestrator when the claim walk
 /// finished cut-free: serial-exact verdict inputs plus activity totals.
 struct PartitionRun {
     codes: BTreeSet<LintCode>,
-    states: u64,
-    depth_hits: u64,
-    pruned: u64,
-    memo_hits: u64,
-    memo_misses: u64,
-    duplicates: u64,
+    counts: Counts,
     unique_states: u64,
     rounds: u64,
     tally: Tally,
@@ -901,16 +757,17 @@ fn explore_partitioned(
     loop {
         rounds += 1;
         let frontier = Frontier::new();
-        let mut root_entries = Vec::with_capacity(roots.len());
+        let mut open_roots = Vec::with_capacity(roots.len());
+        let mut deficit = false;
         let mut seeds = Vec::new();
         for root in roots {
             let counter = SessionCounter::new(n, s);
             if root.is_quiescent() {
-                root_entries.push(RootEntry::Quiescent(counter.sessions() < s));
+                deficit |= counter.sessions() < s;
                 continue;
             }
             let key = route_key(root, &counter);
-            root_entries.push(RootEntry::Open(key));
+            open_roots.push(key);
             if frontier.claim(key) {
                 if max_depth == 0 {
                     return None;
@@ -972,8 +829,7 @@ fn explore_partitioned(
         let graph = Graph::build(logs);
         // wslint: allow(ws001): flight profiler measures real elapsed time by design
         let replay_started = Instant::now();
-        let mut replay = Replay::new(&graph, max_depth);
-        replay.run(&root_entries);
+        let replay = replay(&graph, open_roots, deficit, max_depth);
         replay_ns += nanos(replay_started.elapsed());
         let fresh: Vec<u64> = replay
             .needs_full
@@ -987,17 +843,12 @@ fn explore_partitioned(
             continue;
         }
         return Some(PartitionRun {
-            states: replay.states,
-            depth_hits: replay.depth_hits,
-            pruned: replay.pruned,
-            memo_hits: replay.memo_hits,
-            memo_misses: replay.memo_misses,
-            duplicates: replay.duplicates,
+            counts: replay.counts,
             // Serial memo entries: the replay memo is keyed by the
             // serial memo key, so its size matches the serial explorer
             // even when Phase A expanded extra orbit representatives.
-            unique_states: replay.memo.len() as u64,
-            codes: replay.codes,
+            unique_states: replay.memo_len() as u64,
+            codes: replay.space.codes,
             rounds,
             tally: total,
             replay_ns,
@@ -1072,16 +923,16 @@ pub(crate) fn explore_parallel_flight(
 
     let tally = run.tally;
     if recorder.is_enabled() {
-        recorder.counter("explore.memo_hits", run.memo_hits);
-        recorder.counter("explore.memo_misses", run.memo_misses);
-        recorder.counter("explore.pruned_choices", run.pruned);
-        recorder.counter("explore.duplicate_expansions", run.duplicates);
+        recorder.counter("explore.memo_hits", run.counts.memo_hits);
+        recorder.counter("explore.memo_misses", run.counts.memo_misses);
+        recorder.counter("explore.pruned_choices", run.counts.pruned);
+        recorder.counter("explore.duplicate_expansions", run.counts.duplicates);
         recorder.counter("explore.route_send", tally.donated);
         recorder.counter("explore.route_recv", tally.taken);
         recorder.counter("explore.local_msgs", tally.kept);
         recorder.counter("explore.queue_full_spins", tally.empty_polls);
         recorder.counter("explore.rounds", run.rounds);
-        recorder.gauge("explore.states", run.states as f64);
+        recorder.gauge("explore.states", run.counts.states as f64);
         recorder.gauge("explore.memo_entries", run.unique_states as f64);
         recorder.gauge("explore.threads", opts.threads as f64);
         let kept_or_donated = tally.kept + tally.donated;
@@ -1093,7 +944,7 @@ pub(crate) fn explore_parallel_flight(
         }
         let elapsed = epoch.elapsed().as_secs_f64();
         if elapsed > 0.0 {
-            recorder.gauge("explore.states_per_sec", run.states as f64 / elapsed);
+            recorder.gauge("explore.states_per_sec", run.counts.states as f64 / elapsed);
         }
         if let Some(workers) = &run.workers {
             let expand: u64 = workers.iter().map(|w| w.expand_ns).sum();
@@ -1114,9 +965,9 @@ pub(crate) fn explore_parallel_flight(
         max_depth,
         por: opts.por,
         symmetry: opts.symmetry,
-        states: run.states,
+        states: run.counts.states,
         unique_states: run.unique_states,
-        duplicate_expansions: run.duplicates,
+        duplicate_expansions: run.counts.duplicates,
         route_send: tally.donated,
         route_recv: tally.taken,
         local_msgs: tally.kept,
@@ -1130,16 +981,7 @@ pub(crate) fn explore_parallel_flight(
         workers,
     });
 
-    let exploration = Exploration {
-        states: run.states,
-        violations,
-        truncated: run.depth_hits > 0,
-        depth_hits: run.depth_hits,
-        stats: ReductionStats {
-            pruned: run.pruned,
-            memo_hits: run.memo_hits,
-        },
-    };
+    let exploration = Exploration::new(run.counts, violations);
     (exploration, profile)
 }
 
@@ -1175,8 +1017,15 @@ mod tests {
         // Two logs, one record each: key, memo key, meta (one open child).
         let logs = vec![vec![11, 11, 1 | 1 << 16, TAG_OPEN, 22], vec![22, 99, 0]];
         let graph = Graph::build(logs);
-        assert_eq!(graph.record(11)[..5], [11, 11, 1 | 1 << 16, TAG_OPEN, 22]);
-        assert_eq!(graph.record(22), [22, 99, 0]);
+        let (root, child) = (graph.state(11), graph.state(22));
+        assert_eq!(
+            (root.memo_key, root.choices, root.children),
+            (11, 1, &[TAG_OPEN, 22][..])
+        );
+        assert_eq!(
+            (child.memo_key, child.choices, child.children.len()),
+            (99, 0, 0)
+        );
     }
 
     #[test]

@@ -828,9 +828,9 @@ pub fn analyze_space_symbolic_recorded(
         name: format!("{name} (symbolic)"),
         states: analysis.zone_states,
         pruned: 0,
-        memo_hits: 0,
+        memo_hits: analysis.worst_close_memo_hits,
         truncated: analysis.truncated,
-        depth_hits: 0,
+        depth_hits: analysis.depth_hits,
     });
     let scope_desc = format!("{} engine=symbolic", scope.describe());
     for (code, message) in &analysis.findings {

@@ -41,20 +41,22 @@
 //! time-independent step facts, so the naive witnesses trip their codes
 //! symbolically too.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
-use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
+use rustc_hash::{FxHashSet, FxHasher};
 use session_obs::Histogram;
 use session_types::{Dur, KnownBounds, Ratio};
 
 use crate::dbm::{Bound, Dbm};
 use crate::diag::LintCode;
-use crate::explore::{check_step, AnyMachine, SessionCounter};
-use crate::machine::{Menu, ZoneEvent};
+use crate::explore::{check_step, session_deficit, AnyMachine, SessionCounter, LASSO};
+use crate::machine::ZoneEvent;
 use crate::scope::Scope;
+use crate::walk::{Edge, Expansion, Space, Summary, Walk};
 
 /// DBM index of the global elapsed-time clock.
 const T_CLOCK: usize = 1;
@@ -175,6 +177,8 @@ pub struct ZoneWalk {
     pub zone_states: u64,
     /// Whether any path was cut at the depth budget.
     pub truncated: bool,
+    /// How many paths were cut at the depth budget.
+    pub depth_hits: u64,
     /// Findings, one per code (first message wins), in code order.
     pub findings: Vec<(LintCode, String)>,
     /// The worst-case session-close time over all explored paths:
@@ -221,6 +225,8 @@ pub struct SymbolicAnalysis {
     /// Whether either walk was cut at the depth budget (SA011 within-bound
     /// verdicts and SA012 are then skipped as incomparable).
     pub truncated: bool,
+    /// See [`ZoneWalk::depth_hits`].
+    pub depth_hits: u64,
     /// Worst-case session-close time: numeric value and rendered symbolic
     /// expression.
     pub worst_close: Option<(Dur, String)>,
@@ -301,36 +307,75 @@ fn delay_hi_sym(hi: Dur, bounds: &KnownBounds) -> SymExpr {
     }
 }
 
-struct MemoEntry {
-    /// Largest remaining-depth budget this zone state was expanded with
-    /// (`usize::MAX` once a fully explored expansion happened).
-    budget: usize,
-    /// The worst session-close found in the subtree below this zone,
-    /// *relative* to the zone's latest-arrival time. The elapsed-time
-    /// clock `T` is never reset and no guard mentions it, so a zone's
-    /// future behavior depends only on its `T`-projected state (the memo
-    /// key) and future close instants shift additively with the arrival
-    /// time — a revisit arriving later reconstructs its absolute worst
-    /// close as `arrival + offset` instead of re-expanding the subtree.
-    close: Option<(Dur, SymExpr)>,
+/// The worst session close below a state, value and expression. The memo
+/// stores it *relative* to the state's latest arrival: `T` is never reset
+/// and no guard mentions it, so a zone's future depends only on its
+/// `T`-projected state (the memo key) and a later revisit's worst close
+/// is `arrival + offset`.
+type Close = Option<(Dur, SymExpr)>;
+
+impl Summary for Close {
+    fn join(self, later: Close) -> Close {
+        max_close(self, later)
+    }
 }
 
+/// A zone-graph node; `t_sym` is its latest arrival as an expression.
+struct ZoneNode<'a> {
+    machine: AnyMachine,
+    counter: Cow<'a, SessionCounter>,
+    dbm: Dbm,
+    clocks: Vec<ClockInfo>,
+    t_sym: SymExpr,
+}
+
+impl ZoneNode<'_> {
+    /// The latest instant this zone can be reached at.
+    fn arrival(&self) -> Dur {
+        self.dbm.upper(T_CLOCK).value().unwrap_or(Dur::ZERO)
+    }
+
+    /// The memo key: the control state, the counter, and the zone with
+    /// `T` projected out.
+    fn key(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.machine.control_hash().hash(&mut h);
+        self.counter.hash(&mut h);
+        let clocks = &self.clocks;
+        // Canonical clock order: the walker's clock vector is permuted by the
+        // order events fired, which is irrelevant to the state itself. Sorting
+        // by identity (and hashing the DBM under the same permutation) merges
+        // zone states that differ only in that bookkeeping order.
+        let mut order: Vec<usize> = (0..clocks.len()).collect();
+        order.sort_by_key(|&i| (clock_tag(&clocks[i]), clocks[i].lo, clocks[i].hi));
+        for &i in &order {
+            let c = &clocks[i];
+            clock_tag(c).hash(&mut h);
+            c.lo.hash(&mut h);
+            c.hi.hash(&mut h);
+        }
+        // The DBM under the canonical permutation, with the reference clock
+        // kept and the ever-growing elapsed-time clock projected out.
+        let indices: Vec<usize> = std::iter::once(0)
+            .chain(order.iter().map(|&i| i + CLOCK_BASE))
+            .collect();
+        self.dbm.hash_permuted(&indices, &mut h);
+        h.finish()
+    }
+}
+
+/// The zone graph as a [`Space`].
 struct ZoneWalker<'a> {
     scope: &'a Scope,
     bounds: &'a KnownBounds,
-    memo: FxHashMap<u64, MemoEntry>,
-    on_path: FxHashSet<u64>,
-    zone_states: u64,
-    truncated: bool,
     findings: BTreeMap<LintCode, String>,
-    worst_close: Option<(Dur, SymExpr)>,
+    worst_close: Close,
     controls: FxHashSet<u64>,
     /// Whether guard-zone constructions are individually timed (only the
     /// recorded `stats` path asks for this; plain walks never read the
     /// clock).
     timed: bool,
     dbm_closures: u64,
-    worst_close_memo_hits: u64,
     dbm_close: Histogram,
 }
 
@@ -347,36 +392,6 @@ fn clock_tag(c: &ClockInfo) -> (u8, usize, usize, u64) {
     }
 }
 
-fn zone_key(
-    machine: &AnyMachine,
-    counter: &SessionCounter,
-    dbm: &Dbm,
-    clocks: &[ClockInfo],
-) -> u64 {
-    let mut h = FxHasher::default();
-    machine.control_hash().hash(&mut h);
-    counter.hash(&mut h);
-    // Canonical clock order: the walker's clock vector is permuted by the
-    // order events fired, which is irrelevant to the state itself. Sorting
-    // by identity (and hashing the DBM under the same permutation) merges
-    // zone states that differ only in that bookkeeping order.
-    let mut order: Vec<usize> = (0..clocks.len()).collect();
-    order.sort_by_key(|&i| (clock_tag(&clocks[i]), clocks[i].lo, clocks[i].hi));
-    for &i in &order {
-        let c = &clocks[i];
-        clock_tag(c).hash(&mut h);
-        c.lo.hash(&mut h);
-        c.hi.hash(&mut h);
-    }
-    // The DBM under the canonical permutation, with the reference clock
-    // kept and the ever-growing elapsed-time clock projected out.
-    let indices: Vec<usize> = std::iter::once(0)
-        .chain(order.iter().map(|&i| i + CLOCK_BASE))
-        .collect();
-    dbm.hash_permuted(&indices, &mut h);
-    h.finish()
-}
-
 impl ZoneWalker<'_> {
     fn finding(&mut self, code: LintCode, message: String) {
         self.findings.entry(code).or_insert(message);
@@ -388,107 +403,52 @@ impl ZoneWalker<'_> {
             _ => self.worst_close = Some((val, sym)),
         }
     }
+}
 
-    /// Mirrors `Explorer::dfs`: quiescent leaves, lasso detection on the
-    /// current path, budget-aware memoization — over zone states instead
-    /// of timed states. `t_sym` is the symbolic expression for the zone's
-    /// latest-arrival time (the DBM's upper bound on the elapsed-time
-    /// clock). Returns completeness plus the subtree's worst absolute
-    /// session-close, for the parent's memo entry.
-    fn dfs(
-        &mut self,
-        machine: AnyMachine,
-        counter: &SessionCounter,
-        dbm: Dbm,
-        clocks: Vec<ClockInfo>,
-        depth: usize,
-        t_sym: SymExpr,
-    ) -> (bool, Option<(Dur, SymExpr)>) {
-        if machine.is_quiescent() {
-            if counter.sessions() < self.scope.s {
-                self.finding(
-                    LintCode::SessionDeficit,
-                    format!(
-                        "admissible schedule reaches quiescence with {} of {} required sessions",
-                        counter.sessions(),
-                        self.scope.s
-                    ),
-                );
+impl Space for ZoneWalker<'_> {
+    type State<'a> = ZoneNode<'a>;
+    type Summary = Close;
+
+    fn key(&mut self, node: &ZoneNode<'_>, _path: &[usize]) -> Option<u64> {
+        if node.machine.is_quiescent() {
+            if let Some(message) = session_deficit(&node.counter, self.scope.s) {
+                self.finding(LintCode::SessionDeficit, message);
             }
-            return (true, None);
+            return None;
         }
-        let key = zone_key(&machine, counter, &dbm, &clocks);
-        if self.on_path.contains(&key) {
-            self.finding(
-                LintCode::NonTermination,
-                "admissible schedule loops without reaching quiescence (lasso)".to_string(),
-            );
-            return (true, None);
+        Some(node.key())
+    }
+
+    fn lasso(&mut self, _path: &[usize]) {
+        self.finding(LintCode::NonTermination, LASSO.to_string());
+    }
+
+    /// One choice per pending event clock.
+    fn expand(&mut self, node: &ZoneNode<'_>, _path: &[usize]) -> Expansion {
+        self.controls.insert(node.machine.control_hash());
+        Expansion {
+            choices: node.clocks.len(),
+            ample: None,
+            partial: None,
         }
-        let remaining = self.scope.max_depth.saturating_sub(depth);
-        let t_upper = dbm.upper(T_CLOCK).value().unwrap_or(Dur::ZERO);
-        if let Some(entry) = self.memo.get(&key) {
-            if entry.budget >= remaining {
-                self.worst_close_memo_hits += 1;
-                let complete = entry.budget == usize::MAX;
-                // The stored close offset is relative to the arrival time;
-                // this arrival reconstructs its absolute worst close (the
-                // symbolic attribution is the first visit's — values are
-                // exact either way).
-                let close = entry
-                    .close
-                    .map(|(dv, dsym)| (t_upper + dv, t_sym.add(dsym)));
-                if let Some((v, sym)) = close {
-                    self.record_close(v, sym);
-                }
-                return (complete, close);
-            }
-        }
-        if depth >= self.scope.max_depth {
-            self.truncated = true;
-            return (false, None);
-        }
-        self.zone_states += 1;
-        self.controls.insert(machine.control_hash());
-        self.on_path.insert(key);
-        let mut complete = true;
-        let mut close: Option<(Dur, SymExpr)> = None;
-        for ci in 0..clocks.len() {
-            let (sub_complete, sub_close) = self.fire(&machine, counter, &dbm, &clocks, ci, depth);
-            complete &= sub_complete;
-            close = max_close(close, sub_close);
-        }
-        self.on_path.remove(&key);
-        let budget = if complete { usize::MAX } else { remaining };
-        let rel = close.map(|(v, sym)| (v - t_upper, sym.sub(t_sym)));
-        let entry = self
-            .memo
-            .entry(key)
-            .or_insert(MemoEntry { budget, close: rel });
-        entry.budget = entry.budget.max(budget);
-        entry.close = max_close(entry.close, rel);
-        (complete, close)
     }
 
     /// Fires the event on clock `ci`, if its guard zone is non-empty:
     /// `up`, intersect all deadline invariants, apply the lower-window
-    /// guard, then step the machine and reschedule clocks. Returns
-    /// completeness plus the worst absolute session-close at or below
-    /// this transition.
-    fn fire(
+    /// guard, then step the machine and reschedule clocks. The edge's
+    /// summary is the session close it makes.
+    fn child<'b>(
         &mut self,
-        machine: &AnyMachine,
-        counter: &SessionCounter,
-        dbm: &Dbm,
-        clocks: &[ClockInfo],
+        parent: &'b ZoneNode<'_>,
         ci: usize,
-        depth: usize,
-    ) -> (bool, Option<(Dur, SymExpr)>) {
+        _path: &[usize],
+    ) -> Edge<ZoneNode<'b>, Close> {
+        let clocks = &parent.clocks;
         let idx = ci + CLOCK_BASE;
         self.dbm_closures += 1;
         // wslint: allow(ws001): DBM-closure profiling measures real elapsed time by design
         let close_started = self.timed.then(Instant::now);
-        let mut z = dbm.clone();
+        let mut z = parent.dbm.clone();
         z.up();
         for (j, c) in clocks.iter().enumerate() {
             z.constrain(j + CLOCK_BASE, 0, Bound::Le(c.hi));
@@ -503,7 +463,7 @@ impl ZoneWalker<'_> {
         if empty {
             // The order is infeasible under the windows — not a cut, the
             // branch simply does not exist.
-            return (true, None);
+            return Edge::Pruned(None);
         }
 
         // The latest possible firing instant: the DBM's elapsed-time upper
@@ -525,25 +485,23 @@ impl ZoneWalker<'_> {
             }
         }
 
-        let mut next = machine.clone();
+        let mut next = parent.machine.clone();
         let (info, scheduled) = next.zone_apply(clocks[ci].ev);
-        let observed;
-        let next_counter = if info.port.is_some() {
-            let mut cloned = counter.clone();
+        let counter = if info.port.is_some() {
+            let mut cloned = SessionCounter::clone(&parent.counter);
             cloned.observe(&info);
-            observed = cloned;
-            &observed
+            Cow::Owned(cloned)
         } else {
-            counter
+            Cow::Borrowed(&*parent.counter)
         };
         let mut close = None;
-        if counter.sessions() < self.scope.s && next_counter.sessions() >= self.scope.s {
+        if parent.counter.sessions() < self.scope.s && counter.sessions() >= self.scope.s {
             self.record_close(fire_val, fire_sym);
             close = Some((fire_val, fire_sym));
         }
-        if let Some((code, message)) = check_step(&info, &next, next_counter) {
+        if let Some((code, message)) = check_step(&info, &next, &counter) {
             self.finding(code, message);
-            return (true, close);
+            return Edge::Pruned(close);
         }
 
         let mut new_clocks = clocks.to_vec();
@@ -573,9 +531,28 @@ impl ZoneWalker<'_> {
                 sched_sym: fire_sym,
             });
         }
-        let (complete, sub_close) =
-            self.dfs(next, next_counter, z, new_clocks, depth + 1, fire_sym);
-        (complete, max_close(close, sub_close))
+        let child = ZoneNode {
+            machine: next,
+            counter,
+            dbm: z,
+            clocks: new_clocks,
+            t_sym: fire_sym,
+        };
+        Edge::Open(child, close)
+    }
+
+    /// Rebases the stored relative close on this arrival (the symbolic
+    /// attribution is the first visit's — values are exact either way).
+    fn recall(&mut self, node: &ZoneNode<'_>, stored: Close) -> Close {
+        let close = stored.map(|(dv, dsym)| (node.arrival() + dv, node.t_sym.add(dsym)));
+        if let Some((v, sym)) = close {
+            self.record_close(v, sym);
+        }
+        close
+    }
+
+    fn remember(&self, node: &ZoneNode<'_>, found: Close) -> Close {
+        found.map(|(v, sym)| (v - node.arrival(), sym.sub(node.t_sym)))
     }
 }
 
@@ -605,25 +582,19 @@ pub fn zone_walk_timed(
     bounds: &KnownBounds,
     timed: bool,
 ) -> ZoneWalk {
-    let mut walker = ZoneWalker {
+    let walker = ZoneWalker {
         scope,
         bounds,
-        memo: FxHashMap::default(),
-        on_path: FxHashSet::default(),
-        zone_states: 0,
-        truncated: false,
         findings: BTreeMap::new(),
         worst_close: None,
         controls: FxHashSet::default(),
         timed,
         dbm_closures: 0,
-        worst_close_memo_hits: 0,
         dbm_close: Histogram::new(),
     };
+    let mut walk = Walk::new(walker, scope.max_depth, 0);
     for root in roots {
-        let counter = SessionCounter::new(scope.n, scope.s);
         let windows = root.initial_windows();
-        let dbm = Dbm::zeroed(CLOCK_BASE + windows.len());
         let clocks: Vec<ClockInfo> = windows
             .into_iter()
             .map(|(ev, lo, hi)| ClockInfo {
@@ -637,84 +608,25 @@ pub fn zone_walk_timed(
                 sched_sym: SymExpr::ZERO,
             })
             .collect();
-        walker.dfs(root.clone(), &counter, dbm, clocks, 0, SymExpr::ZERO);
+        walk.visit(ZoneNode {
+            machine: root.clone(),
+            counter: Cow::Owned(SessionCounter::new(scope.n, scope.s)),
+            dbm: Dbm::zeroed(CLOCK_BASE + clocks.len()),
+            clocks,
+            t_sym: SymExpr::ZERO,
+        });
     }
+    let (walker, counts) = (walk.space, walk.counts);
     ZoneWalk {
-        zone_states: walker.zone_states,
-        truncated: walker.truncated,
+        zone_states: counts.states,
+        truncated: counts.depth_hits > 0,
+        depth_hits: counts.depth_hits,
         findings: walker.findings.into_iter().collect(),
         worst_close: walker.worst_close,
         controls: walker.controls,
         dbm_closures: walker.dbm_closures,
-        worst_close_memo_hits: walker.worst_close_memo_hits,
+        worst_close_memo_hits: counts.memo_hits,
         dbm_close: walker.dbm_close,
-    }
-}
-
-struct ControlCollector {
-    s: u64,
-    max_depth: usize,
-    memo: FxHashMap<u64, usize>,
-    on_path: FxHashSet<u64>,
-    states: u64,
-    truncated: bool,
-    controls: FxHashSet<u64>,
-}
-
-impl ControlCollector {
-    /// Mirrors `Explorer::dfs` / `explore_choice` over the full menu (no
-    /// reductions): same leaf, lasso, budget-memo and prune-below-violation
-    /// semantics, collecting control hashes at exactly the states the zone
-    /// walker collects them (expanded, non-quiescent nodes).
-    fn dfs(&mut self, machine: AnyMachine, counter: &SessionCounter, depth: usize) -> bool {
-        if machine.is_quiescent() {
-            return true;
-        }
-        let mut hasher = FxHasher::default();
-        machine.state_hash().hash(&mut hasher);
-        counter.hash(&mut hasher);
-        let key = hasher.finish();
-        if self.on_path.contains(&key) {
-            return true;
-        }
-        let remaining = self.max_depth.saturating_sub(depth);
-        if let Some(&budget) = self.memo.get(&key) {
-            if budget >= remaining {
-                return budget == usize::MAX;
-            }
-        }
-        if depth >= self.max_depth {
-            self.truncated = true;
-            return false;
-        }
-        self.states += 1;
-        self.controls.insert(machine.control_hash());
-        self.on_path.insert(key);
-        let mut complete = true;
-        let mut menu = Menu::default();
-        machine.build_menu(&mut menu);
-        for choice in 0..menu.choice_count() {
-            let mut next = machine.clone();
-            let info = next.apply_menu(&menu, choice);
-            let observed;
-            let next_counter = if info.port.is_some() {
-                let mut cloned = counter.clone();
-                cloned.observe(&info);
-                observed = cloned;
-                &observed
-            } else {
-                counter
-            };
-            if check_step(&info, &next, next_counter).is_some() {
-                continue;
-            }
-            complete &= self.dfs(next, next_counter, depth + 1);
-        }
-        self.on_path.remove(&key);
-        let budget = if complete { usize::MAX } else { remaining };
-        let entry = self.memo.entry(key).or_insert(budget);
-        *entry = (*entry).max(budget);
-        complete
     }
 }
 
@@ -722,24 +634,7 @@ impl ControlCollector {
 /// (no POR, no symmetry — reductions must not be able to mask a
 /// divergence) collecting the reachable control-hash set.
 pub fn explicit_control_reach(roots: &[AnyMachine], scope: &Scope) -> ExplicitReach {
-    let mut collector = ControlCollector {
-        s: scope.s,
-        max_depth: scope.max_depth,
-        memo: FxHashMap::default(),
-        on_path: FxHashSet::default(),
-        states: 0,
-        truncated: false,
-        controls: FxHashSet::default(),
-    };
-    for root in roots {
-        let counter = SessionCounter::new(scope.n, collector.s);
-        collector.dfs(root.clone(), &counter, 0);
-    }
-    ExplicitReach {
-        states: collector.states,
-        truncated: collector.truncated,
-        controls: collector.controls,
-    }
+    crate::explore::control_reach(roots, scope)
 }
 
 /// The `SA012` detector on its own: the zone walker explores the convex
@@ -816,6 +711,7 @@ pub fn analyze_symbolic_timed(
         zone_states: walk.zone_states,
         explicit_states: explicit.states,
         truncated: walk.truncated || explicit.truncated,
+        depth_hits: walk.depth_hits,
         worst_close: walk.worst_close.map(|(v, sym)| (v, sym.to_string())),
         dbm_closures: walk.dbm_closures,
         worst_close_memo_hits: walk.worst_close_memo_hits,

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use session_analyzer::explore::{explore_flight, explore_with_opts, Exploration};
 use session_analyzer::machine::{GapMode, SmAlgo, SmMachine};
 use session_analyzer::{scoped_target_space, ExploreOpts, FlightOpts, TARGET_NAMES};
-use session_obs::NullRecorder;
+use session_obs::{InMemoryRecorder, NullRecorder};
 use session_smm::RelayProcess;
 use session_types::{Dur, Time, VarId};
 
@@ -252,6 +252,46 @@ fn periodic_mp_phase_a_expands_each_state_once() {
         let expanded: u64 = profile.workers.iter().map(|w| w.states).sum();
         assert_eq!(expanded, STATES, "threads={threads}: Phase A expansions");
     }
+}
+
+/// Both explorers emit their memo and partial-order counters once, at
+/// the end of the run, and the totals are the same at every thread
+/// count: the serial walk's are the ones the parallel replay reproduces.
+#[test]
+fn recorded_explore_counters_are_thread_invariant() {
+    let space = scoped_target_space("PeriodicMp", 2, 2).expect("registered target");
+    let counters = |threads| {
+        let mut recorder = InMemoryRecorder::new();
+        let opts = ExploreOpts {
+            por: true,
+            symmetry: false,
+            threads,
+        };
+        let depth = space.scope.max_depth;
+        let (run, _) = explore_flight(
+            &space.roots,
+            2,
+            2,
+            depth,
+            opts,
+            &mut recorder,
+            &FlightOpts::default(),
+        );
+        assert!(
+            run.violations.is_empty() && !run.truncated,
+            "a clean target"
+        );
+        let snapshot = recorder.into_snapshot();
+        [
+            "explore.memo_hits",
+            "explore.memo_misses",
+            "explore.pruned_choices",
+        ]
+        .map(|name| snapshot.counter(name))
+    };
+    let serial = counters(1);
+    assert!(serial.iter().all(|&count| count > 0), "{serial:?}");
+    assert_eq!(counters(2), serial);
 }
 
 proptest! {

@@ -111,5 +111,11 @@ fi
 [ "$(grep -c "SA001 session-deficit | deny | NaivePeriodicSm" /tmp/analyze-all-symbolic.md)" -ge 2 ]
 [ "$(grep -c "SA001 session-deficit | deny | NaiveSemiSyncSm" /tmp/analyze-all-symbolic.md)" -ge 2 ]
 [ "$(grep -c "SA003 stale-evidence | deny | NaiveSporadicMp" /tmp/analyze-all-symbolic.md)" -ge 2 ]
+# A truncated symbolic summary counts the paths its budget cut. (A bare
+# `! grep` would not trip `set -e`.)
+if grep -q "depth budget hit 0×" /tmp/analyze-all-symbolic.md; then
+    echo "ERROR: a truncated summary reports zero depth-budget hits" >&2
+    exit 1
+fi
 
 echo "static analysis: OK"

@@ -73,7 +73,7 @@ pub struct AnalyzeConfig {
     pub n: Option<usize>,
     /// Rebuild the (single) target at this session count (`s=`).
     pub s: Option<u64>,
-    /// Write the exploration's `analyzer-profile/v1` document here (and a
+    /// Write the exploration's `analyzer-profile/v2` document here (and a
     /// Perfetto trace next to it); requires exactly one target.
     pub profile: Option<PathBuf>,
     /// Live progress line on stderr (`progress=on`); rate-limited, and
@@ -100,7 +100,7 @@ usage: session-cli analyze [--all | TARGET ...] [key=value ...]
   symbolic=on|off       additionally run the symbolic zone-graph engine
                         over each target (SA010-SA012; default off)
   profile=FILE.json     write the exploration's flight-recorder profile
-                        (analyzer-profile/v1, plus FILE.perfetto.json);
+                        (analyzer-profile/v2, plus FILE.perfetto.json);
                         exactly one target; findings are unchanged
   progress=on|off       live progress line on stderr (default off; silent
                         when stderr is not a terminal or CI is set)
