@@ -44,7 +44,7 @@ use session_obs::{NullRecorder, ProgressBoard, Recorder};
 use session_types::Dur;
 
 use crate::diag::LintCode;
-use crate::machine::{Menu, MpMachine, SmMachine, StepInfo};
+use crate::machine::{GapMode, Menu, MpMachine, SmMachine, StepInfo};
 use crate::partition::PROGRESS_BATCH;
 use crate::profile::{ExploreProfile, FlightOpts, WorkerProfile};
 use crate::scope::Scope;
@@ -137,11 +137,11 @@ impl AnyMachine {
         }
     }
 
-    /// See [`SmMachine::gap_window`] / [`MpMachine::gap_window`].
-    pub(crate) fn gap_window(&self, p: usize) -> (Dur, Dur) {
+    /// How the machine's step gaps are chosen.
+    pub(crate) fn gaps(&self) -> &GapMode {
         match self {
-            AnyMachine::Sm(m) => m.gap_window(p),
-            AnyMachine::Mp(m) => m.gap_window(p),
+            AnyMachine::Sm(m) => m.gaps(),
+            AnyMachine::Mp(m) => m.gaps(),
         }
     }
 
@@ -817,8 +817,10 @@ fn walk_roots<'r>(
     walk
 }
 
-/// See [`crate::zones::explicit_control_reach`].
-pub(crate) fn control_reach(roots: &[AnyMachine], scope: &Scope) -> ExplicitReach {
+/// The explicit side of the SA012 cross-check: a serial full-menu walk
+/// (no POR, no symmetry — reductions must not be able to mask a
+/// divergence) collecting the reachable control-hash set.
+pub fn explicit_control_reach(roots: &[AnyMachine], scope: &Scope) -> ExplicitReach {
     let mut recorder = NullRecorder;
     let space = Explicit {
         controls: Some(FxHashSet::default()),

@@ -4,19 +4,28 @@
 //! The real engines ([`session_smm::SmEngine`], [`session_mpm::MpEngine`])
 //! execute *one* schedule chosen by a [`session_sim::StepSchedule`]. The
 //! checker instead needs, at every reachable state, the *set* of admissible
-//! next transitions. [`SmMachine`] and [`MpMachine`] reimplement the
-//! engines' exact step semantics (variable access and port tagging for
-//! shared memory; delivery buffering, broadcast fan-out and event ordering
-//! for message passing) over cloneable process values, exposing a flat
+//! next transitions. [`SmMachine`] and [`MpMachine`] mirror the engines'
+//! exact step semantics (variable access and port tagging for shared
+//! memory; delivery buffering, broadcast fan-out and event ordering for
+//! message passing) over cloneable process values, exposing a flat
 //! `0..choice_count()` menu whose entries enumerate: which eligible event
 //! fires next (equal-time events may fire in any order), which admissible
 //! gap the stepping process's *next* step is scheduled after, and — for a
 //! broadcasting message-passing step — which admissible delay each
 //! recipient's copy is assigned.
 //!
+//! The message-passing machine does not reimplement the algorithm step:
+//! it steps a process through [`session_mpm::step_process`], the function
+//! the simulator engine, the real-clock runtime and the session service
+//! use. A step is taken once per state, while the menu is built, and every
+//! child of that menu entry (one per gap × delay combo) installs the same
+//! outcome. The explicit explorers and the zone walker then fire it
+//! through one body, `MpMachine::fire`.
+//!
 //! Fidelity to the engines is not taken on faith: `replay` re-executes
 //! counterexample paths through the real `SmEngine` and compares global
-//! states, and the test suite runs differential machine-vs-engine checks.
+//! states, and the test suite runs differential machine-vs-engine checks
+//! (`MpEngine` along the engine's own FIFO order, in this module's tests).
 
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -32,7 +41,7 @@ use session_core::algorithms::{
     SporadicMpPort, StepCountingMpPort, StepCountingSmPort, SyncMpPort, SyncSmPort,
 };
 use session_core::SessionMsg;
-use session_mpm::{Envelope, MpProcess};
+use session_mpm::{step_process, Envelope, MpProcess, StepResult};
 use session_smm::{Knowledge, RelayProcess, SmProcess, TreeSpec};
 use session_types::{Dur, MsgId, PortId, ProcessId, Time, VarId};
 
@@ -230,6 +239,23 @@ impl GapMode {
             GapMode::FixedPerProcess(periods) => periods[process],
         }
     }
+
+    /// The window (relative to the firing instant) within which process
+    /// `p`'s *next* step must fire: the hull of the gap menu, or the
+    /// process's fixed period.
+    pub(crate) fn window(&self, p: usize) -> (Dur, Dur) {
+        match self {
+            GapMode::PerStep(menu) => hull(menu),
+            GapMode::FixedPerProcess(periods) => (periods[p], periods[p]),
+        }
+    }
+}
+
+/// The convex hull `(min, max)` of a nonempty menu.
+fn hull(menu: &[Dur]) -> (Dur, Dur) {
+    let lo = menu.iter().copied().reduce(Dur::min);
+    let hi = menu.iter().copied().reduce(Dur::max);
+    lo.zip(hi).expect("nonempty menu")
 }
 
 /// One schedulable event as the zone walker ([`crate::zones`]) identifies
@@ -434,9 +460,10 @@ impl SmMachine {
     /// Applies transition `choice` (must be `< choice_count()`). When
     /// `trace` is given, records the step exactly as the engine would.
     pub fn apply(&mut self, choice: usize, trace: Option<&mut session_sim::Trace>) -> StepInfo {
-        let mut menu = Menu::default();
-        self.build_menu(&mut menu);
-        self.apply_menu(&menu, choice, trace)
+        with_menu(|menu| {
+            self.build_menu(menu);
+            self.apply_menu(menu, choice, trace)
+        })
     }
 
     /// [`SmMachine::apply`] from this state's already built `menu`.
@@ -479,26 +506,9 @@ impl SmMachine {
             .collect()
     }
 
-    /// The window (relative to the firing instant) within which process
-    /// `p`'s *next* step must fire: the hull of the gap menu, or the
-    /// process's fixed period.
-    pub(crate) fn gap_window(&self, p: usize) -> (Dur, Dur) {
-        match &self.statics.gaps {
-            GapMode::PerStep(menu) => {
-                let lo = menu
-                    .iter()
-                    .copied()
-                    .reduce(Dur::min)
-                    .expect("nonempty menu");
-                let hi = menu
-                    .iter()
-                    .copied()
-                    .reduce(Dur::max)
-                    .expect("nonempty menu");
-                (lo, hi)
-            }
-            GapMode::FixedPerProcess(periods) => (periods[p], periods[p]),
-        }
+    /// How this machine's step gaps are chosen.
+    pub(crate) fn gaps(&self) -> &GapMode {
+        &self.statics.gaps
     }
 
     /// Fires process `p`'s step for the zone walker: identical discrete
@@ -519,27 +529,18 @@ impl SmMachine {
     /// compares reachable control-hash sets), and part of the zone memo
     /// key.
     pub fn control_hash(&self) -> u64 {
-        let mut hasher = FxHasher::default();
-        for algo in &self.algos {
-            algo.fingerprint().hash(&mut hasher);
-        }
-        for value in &self.memory {
-            value.hash(&mut hasher);
-        }
-        for set in &self.accessors {
-            set.hash(&mut hasher);
-        }
-        if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
-            periods.hash(&mut hasher);
-        }
-        hasher.finish()
+        self.hash(false)
     }
 
     /// A hash of the machine state with times made relative to the next
     /// event, so states that differ only by a time shift coincide.
     pub fn state_hash(&self) -> u64 {
+        self.hash(true)
+    }
+
+    /// The two hashes above: the `due` times count only when `timed`.
+    fn hash(&self, timed: bool) -> u64 {
         let mut hasher = FxHasher::default();
-        let t = self.t_min();
         for algo in &self.algos {
             algo.fingerprint().hash(&mut hasher);
         }
@@ -549,8 +550,11 @@ impl SmMachine {
         for set in &self.accessors {
             set.hash(&mut hasher);
         }
-        for &due in &self.due {
-            (due - t).hash(&mut hasher);
+        if timed {
+            let t = self.t_min();
+            for &due in &self.due {
+                (due - t).hash(&mut hasher);
+            }
         }
         if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
             periods.hash(&mut hasher);
@@ -683,16 +687,31 @@ pub(crate) enum EligibleKind {
 /// ([`crate::explore::AnyMachine::build_menu`]) and hand that one menu to
 /// the ample-set selector and to every child's apply. It is valid only
 /// for the state it was built from (and clones of it not yet stepped).
-#[derive(Clone, Debug, Default)]
+///
+/// A message-passing menu also holds each eligible step's outcome: the
+/// step is taken once, while the menu is built, and every child of that
+/// event installs it.
+#[derive(Default)]
 pub(crate) struct Menu {
     events: Vec<EligibleEvent>,
+    /// The message-passing step outcomes, one per eligible step, in
+    /// event order (empty for shared memory).
+    steps: Vec<Stepped>,
     choices: usize,
 }
 
 impl Menu {
     fn clear(&mut self) {
         self.events.clear();
+        self.steps.clear();
         self.choices = 0;
+    }
+
+    /// Process `p`'s step outcome (each process has at most one
+    /// eligible step).
+    fn step(&self, p: usize) -> &Stepped {
+        let step = self.steps.iter().find(|step| step.process == p);
+        step.expect("every eligible step has its outcome")
     }
 
     fn push(&mut self, event: EligibleEvent) {
@@ -717,9 +736,9 @@ impl Menu {
     }
 
     /// The event owning flat `choice`, and `choice`'s offset in its block.
-    fn locate(&self, choice: usize) -> (EligibleEvent, usize) {
+    fn locate(&self, choice: usize) -> (&EligibleEvent, usize) {
         let mut rest = choice;
-        for &event in &self.events {
+        for event in &self.events {
             if rest < event.weight {
                 return (event, rest);
             }
@@ -727,6 +746,37 @@ impl Menu {
         }
         panic!("choice {choice} is past the {}-choice menu", self.choices);
     }
+}
+
+/// Runs `f` on this thread's scratch [`Menu`], for the one-off `apply`
+/// and `choice_count` wrappers (the explorers keep their own buffers).
+/// The menu is moved out for the call and cleared after it, so no
+/// outcome outlives the call and a nested call starts from empty.
+fn with_menu<R>(f: impl FnOnce(&mut Menu) -> R) -> R {
+    thread_local! {
+        static MENU: Cell<Menu> = Cell::new(Menu::default());
+    }
+    MENU.with(|cell| {
+        let mut menu = cell.take();
+        let out = f(&mut menu);
+        menu.clear();
+        cell.set(menu);
+        out
+    })
+}
+
+/// One message-passing step's outcome, taken once per state through
+/// [`step_process`] on a clone of the process and its inbox. Every child
+/// of the step's menu entry installs it, whatever its gap and delays.
+pub(crate) struct Stepped {
+    /// The stepping process.
+    process: usize,
+    /// The process after the step, as every child installs it.
+    algo: Arc<MpAlgo>,
+    /// Whether the process was idle before the step.
+    was_idle: bool,
+    /// What the step consumed and broadcast, and whether it idled.
+    result: StepResult<SessionMsg>,
 }
 
 /// Reused buffers for hashing multisets in canonical (sorted) order, one
@@ -890,32 +940,45 @@ impl MpMachine {
     }
 
     /// Enqueues an event at its place in the canonical order.
-    fn schedule(&mut self, time: Time, kind: PendingKind) -> u64 {
+    fn schedule(&mut self, time: Time, kind: PendingKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let entry = Pending { time, seq, kind };
         let key = entry.order();
         let at = self.pending.partition_point(|e| e.order() < key);
         self.pending.insert(at, entry);
-        seq
     }
 
     fn delay_combos(&self) -> usize {
         self.statics.delays.len().pow(self.n as u32)
     }
 
-    /// Whether stepping `p` with its current inbox would broadcast
-    /// (determines how many delay choices the step carries). Probed on a
-    /// scratch clone; `apply` then performs the step for real.
-    fn would_broadcast(&self, p: usize) -> bool {
-        let mut scratch = (*self.algos[p]).clone();
-        scratch.step((*self.inboxes[p]).clone()).is_some()
+    /// The delay of recipient `q`'s copy under delay combo `combo`: the
+    /// combo's `q`-th digit in base `delays.len()`.
+    fn delay(&self, combo: usize, q: usize) -> Dur {
+        let width = self.statics.delays.len();
+        self.statics.delays[combo / width.pow(q as u32) % width]
+    }
+
+    /// Takes process `p`'s step once, through [`step_process`] on a clone
+    /// of the process and its inbox. The machine itself is untouched.
+    fn step(&self, p: usize) -> Stepped {
+        let mut algo = MpAlgo::clone(&self.algos[p]);
+        let was_idle = algo.is_idle();
+        let result = step_process(&mut algo, Vec::clone(&self.inboxes[p]));
+        Stepped {
+            process: p,
+            algo: Arc::new(algo),
+            was_idle,
+            result,
+        }
     }
 
     /// Fills `menu` with this state's choice menu: the eligible events
     /// (the prefix of `pending` due at the current instant, in canonical
-    /// order), each with its block width. Each step is probed once for
-    /// whether it broadcasts.
+    /// order), each with its block width. Each eligible step is taken
+    /// here, once; a broadcasting step's block spans every gap × delay
+    /// combo, and all its children install the one outcome.
     pub(crate) fn build_menu(&self, menu: &mut Menu) {
         menu.clear();
         let t = self.t_min();
@@ -926,19 +989,19 @@ impl MpMachine {
             }
             let (kind, weight) = match event.kind {
                 PendingKind::Step(process) => {
-                    let broadcasts = self.would_broadcast(process);
+                    let step = self.step(process);
+                    let broadcasts = step.result.broadcast.is_some();
+                    menu.steps.push(step);
                     let weight = if broadcasts {
                         gaps * self.delay_combos()
                     } else {
                         gaps
                     };
-                    (
-                        EligibleKind::Step {
-                            process,
-                            broadcasts,
-                        },
-                        weight,
-                    )
+                    let kind = EligibleKind::Step {
+                        process,
+                        broadcasts,
+                    };
+                    (kind, weight)
                 }
                 PendingKind::Deliver { to, .. } => (EligibleKind::Deliver { to }, 1),
             };
@@ -948,9 +1011,10 @@ impl MpMachine {
 
     /// The number of admissible transitions from this state.
     pub fn choice_count(&self) -> usize {
-        let mut menu = Menu::default();
-        self.build_menu(&mut menu);
-        menu.choice_count()
+        with_menu(|menu| {
+            self.build_menu(menu);
+            menu.choice_count()
+        })
     }
 
     /// Whether the delay menu contains zero — a broadcast can then enable
@@ -1006,31 +1070,15 @@ impl MpMachine {
         }
     }
 
-    /// The step body shared by [`MpMachine::apply`] and the zone walker's
-    /// time-free stepping: consume the inbox (swapping the shared empty
-    /// value in — sibling branches usually share pre-consumption inboxes,
-    /// in which case the contents are cloned out) and step the process.
-    /// Scheduling the resulting deliveries and the next step stays with
-    /// the caller. Returns `(received, was_idle, idle_after, outgoing)`.
-    fn perform_step(&mut self, p: usize) -> (usize, bool, bool, Option<SessionMsg>) {
-        let inbox_cell =
-            std::mem::replace(&mut self.inboxes[p], Arc::clone(&self.statics.empty_inbox));
-        let inbox = Arc::try_unwrap(inbox_cell).unwrap_or_else(|shared| (*shared).clone());
-        let received = inbox.len();
-        let was_idle = self.algos[p].is_idle();
-        let outgoing = Arc::make_mut(&mut self.algos[p]).step(inbox);
-        let idle_after = self.algos[p].is_idle();
-        (received, was_idle, idle_after, outgoing)
-    }
-
     /// Applies transition `choice` (must be `< choice_count()`). When
     /// `trace` is given, records the event exactly as the engine would
     /// (sends in recipient order before the step event, delivery records
     /// on arrival).
     pub fn apply(&mut self, choice: usize, trace: Option<&mut session_sim::Trace>) -> StepInfo {
-        let mut menu = Menu::default();
-        self.build_menu(&mut menu);
-        self.apply_menu(&menu, choice, trace)
+        with_menu(|menu| {
+            self.build_menu(menu);
+            self.apply_menu(menu, choice, trace)
+        })
     }
 
     /// [`MpMachine::apply`] from this state's already built `menu`.
@@ -1038,13 +1086,44 @@ impl MpMachine {
         &mut self,
         menu: &Menu,
         choice: usize,
-        mut trace: Option<&mut session_sim::Trace>,
+        trace: Option<&mut session_sim::Trace>,
     ) -> StepInfo {
-        let now = self.t_min();
         let (event, sub) = menu.locate(choice);
-        let fired = self.pending.remove(event.at);
+        let (step, pick) = match event.kind {
+            EligibleKind::Step {
+                process,
+                broadcasts,
+            } => {
+                let combos = if broadcasts { self.delay_combos() } else { 1 };
+                (Some(menu.step(process)), (sub / combos, sub % combos))
+            }
+            EligibleKind::Deliver { .. } => (None, (0, 0)),
+        };
+        let now = self.t_min();
+        self.fire(event.at, now, step, Some(pick), trace).0
+    }
 
-        match fired.kind {
+    /// The one body every fired event goes through, for the explorers
+    /// ([`MpMachine::apply_menu`]) and the zone walker
+    /// ([`MpMachine::zone_apply`]) alike. Removes pending entry `at`. A
+    /// delivery joins its recipient's inbox. A step installs its `step`
+    /// outcome (the stepped process and an empty inbox), enqueues the
+    /// broadcast's copies in recipient order and then the process's next
+    /// step — the engine's exact order. `pick` is the menu entry's gap
+    /// index and delay combo; with `None`, the zone walker's case, the
+    /// gap and every delay are zero placeholders (its DBM carries the
+    /// windows). Returns the event's facts and the seqs of the deliveries
+    /// it scheduled.
+    fn fire(
+        &mut self,
+        at: usize,
+        now: Time,
+        step: Option<&Stepped>,
+        pick: Option<(usize, usize)>,
+        mut trace: Option<&mut session_sim::Trace>,
+    ) -> (StepInfo, Range<u64>) {
+        let fired = self.pending.remove(at);
+        let p = match fired.kind {
             PendingKind::Deliver {
                 to,
                 from,
@@ -1054,7 +1133,7 @@ impl MpMachine {
                 Arc::make_mut(&mut self.inboxes[to])
                     .push(Envelope::new(ProcessId::new(from), SessionMsg::new(value)));
                 let idle = self.algos[to].is_idle();
-                if let Some(trace) = trace.as_deref_mut() {
+                if let Some(trace) = trace {
                     let msg = msg.expect("traced replay assigns message ids at send time");
                     trace.record_delivery(msg, now);
                     trace.push(session_sim::TraceEvent {
@@ -1064,7 +1143,7 @@ impl MpMachine {
                         idle_after: idle,
                     });
                 }
-                StepInfo {
+                let info = StepInfo {
                     time: now,
                     process: ProcessId::new(to),
                     port: None,
@@ -1072,71 +1151,54 @@ impl MpMachine {
                     idle_after: idle,
                     is_process_step: false,
                     b_violation: None,
-                }
-            }
-            PendingKind::Step(p) => {
-                let broadcasts = matches!(
-                    event.kind,
-                    EligibleKind::Step {
-                        broadcasts: true,
-                        ..
-                    }
-                );
-                let (gap_index, combo) = if broadcasts {
-                    (sub / self.delay_combos(), sub % self.delay_combos())
-                } else {
-                    (sub, 0)
                 };
-                debug_assert!(gap_index < self.statics.gaps.menu_len());
-                let (received, was_idle, idle_after, outgoing) = self.perform_step(p);
-                debug_assert_eq!(outgoing.is_some(), broadcasts, "menu probe disagrees");
-
-                // Deliveries are enqueued before the process's own next
-                // step, in recipient order — the engine's exact order.
-                if let Some(payload) = outgoing {
-                    let mut combo_rest = combo;
-                    for q in 0..self.n {
-                        let delay = self.statics.delays[combo_rest % self.statics.delays.len()];
-                        combo_rest /= self.statics.delays.len();
-                        let msg = trace
-                            .as_deref_mut()
-                            .map(|t| t.record_send(ProcessId::new(p), ProcessId::new(q), now));
-                        self.schedule(
-                            now + delay,
-                            PendingKind::Deliver {
-                                to: q,
-                                from: p,
-                                value: payload.value,
-                                msg,
-                            },
-                        );
-                    }
-                }
-                if let Some(trace) = trace {
-                    trace.push(session_sim::TraceEvent {
-                        time: now,
-                        process: ProcessId::new(p),
-                        kind: session_sim::StepKind::MpStep {
-                            received,
-                            broadcast: outgoing.is_some(),
-                        },
-                        idle_after,
-                    });
-                }
-                let gap = self.statics.gaps.gap(p, gap_index);
-                self.schedule(now + gap, PendingKind::Step(p));
-
-                StepInfo {
-                    time: now,
-                    process: ProcessId::new(p),
-                    port: Some(PortId::new(p)),
-                    was_idle,
-                    idle_after,
-                    is_process_step: true,
-                    b_violation: None,
-                }
+                return (info, 0..0);
+            }
+            PendingKind::Step(p) => p,
+        };
+        let step = step.expect("a step fires with its menu outcome");
+        self.algos[p] = Arc::clone(&step.algo);
+        self.inboxes[p] = Arc::clone(&self.statics.empty_inbox);
+        let first = self.next_seq;
+        if let Some(payload) = &step.result.broadcast {
+            for q in 0..self.n {
+                let delay = pick.map_or(Dur::ZERO, |(_, combo)| self.delay(combo, q));
+                let msg = trace
+                    .as_deref_mut()
+                    .map(|t| t.record_send(ProcessId::new(p), ProcessId::new(q), now));
+                let kind = PendingKind::Deliver {
+                    to: q,
+                    from: p,
+                    value: payload.value,
+                    msg,
+                };
+                self.schedule(now + delay, kind);
             }
         }
+        let sent = first..self.next_seq;
+        if let Some(trace) = trace {
+            trace.push(session_sim::TraceEvent {
+                time: now,
+                process: ProcessId::new(p),
+                kind: session_sim::StepKind::MpStep {
+                    received: step.result.received,
+                    broadcast: step.result.broadcast.is_some(),
+                },
+                idle_after: step.result.idle_after,
+            });
+        }
+        let gap = pick.map_or(Dur::ZERO, |(gap, _)| self.statics.gaps.gap(p, gap));
+        self.schedule(now + gap, PendingKind::Step(p));
+        let info = StepInfo {
+            time: now,
+            process: ProcessId::new(p),
+            port: Some(PortId::new(p)),
+            was_idle: step.was_idle,
+            idle_after: step.result.idle_after,
+            is_process_step: true,
+            b_violation: None,
+        };
+        (info, sent)
     }
 
     /// A hash of the machine state with times made relative to the next
@@ -1191,122 +1253,52 @@ impl MpMachine {
             .collect()
     }
 
-    /// The window (relative to the firing instant) within which process
-    /// `p`'s *next* step must fire: the hull of the gap menu, or the
-    /// process's fixed period.
-    pub(crate) fn gap_window(&self, p: usize) -> (Dur, Dur) {
-        match &self.statics.gaps {
-            GapMode::PerStep(menu) => {
-                let lo = menu
-                    .iter()
-                    .copied()
-                    .reduce(Dur::min)
-                    .expect("nonempty menu");
-                let hi = menu
-                    .iter()
-                    .copied()
-                    .reduce(Dur::max)
-                    .expect("nonempty menu");
-                (lo, hi)
-            }
-            GapMode::FixedPerProcess(periods) => (periods[p], periods[p]),
-        }
+    /// How this machine's step gaps are chosen.
+    pub(crate) fn gaps(&self) -> &GapMode {
+        &self.statics.gaps
     }
 
     /// The window (relative to the send instant) within which any
     /// in-flight message must be delivered: the hull of the delay menu.
     pub(crate) fn delay_window(&self) -> (Dur, Dur) {
-        let delays = &self.statics.delays;
-        let lo = delays
-            .iter()
-            .copied()
-            .reduce(Dur::min)
-            .expect("nonempty menu");
-        let hi = delays
-            .iter()
-            .copied()
-            .reduce(Dur::max)
-            .expect("nonempty menu");
-        (lo, hi)
+        hull(&self.statics.delays)
     }
 
-    /// Fires `ev` for the zone walker: identical discrete semantics to
-    /// [`MpMachine::apply`] (shared step body, same delivery-then-own-step
-    /// scheduling order), but no concrete times — pending entries get
-    /// placeholder times, and the returned [`ZoneEvent`]s tell the walker
-    /// which clocks to schedule (deliveries in recipient order, then the
-    /// stepping process's next step).
+    /// Fires `ev` for the zone walker through [`MpMachine::fire`], the
+    /// explorers' body, with no concrete times: a step is taken once
+    /// here, and every follow-up gets a zero placeholder time. The
+    /// returned [`ZoneEvent`]s tell the walker which clocks to schedule
+    /// (deliveries in recipient order, then the stepping process's next
+    /// step).
     pub(crate) fn zone_apply(&mut self, ev: ZoneEvent) -> (StepInfo, Vec<ZoneEvent>) {
-        match ev {
-            ZoneEvent::Deliver { seq, to, .. } => {
-                let idx = self
-                    .pending
-                    .iter()
-                    .position(|e| e.seq == seq)
-                    .expect("zone event is pending");
-                let PendingKind::Deliver {
-                    to: t, from, value, ..
-                } = self.pending.remove(idx).kind
-                else {
-                    unreachable!("delivery sequence numbers identify deliveries");
-                };
-                debug_assert_eq!(to, t);
-                Arc::make_mut(&mut self.inboxes[to])
-                    .push(Envelope::new(ProcessId::new(from), SessionMsg::new(value)));
-                let idle = self.algos[to].is_idle();
-                let info = StepInfo {
-                    time: Time::ZERO,
-                    process: ProcessId::new(to),
-                    port: None,
-                    was_idle: idle,
-                    idle_after: idle,
-                    is_process_step: false,
-                    b_violation: None,
-                };
-                (info, Vec::new())
+        let at = self
+            .pending
+            .iter()
+            .position(|e| match (ev, &e.kind) {
+                (ZoneEvent::Step(p), PendingKind::Step(q)) => p == *q,
+                (ZoneEvent::Deliver { seq, .. }, PendingKind::Deliver { .. }) => seq == e.seq,
+                _ => false,
+            })
+            .expect("zone event is pending");
+        let step = match ev {
+            ZoneEvent::Step(p) => Some(self.step(p)),
+            ZoneEvent::Deliver { .. } => None,
+        };
+        let (info, sent) = self.fire(at, Time::ZERO, step.as_ref(), None, None);
+        let mut scheduled = Vec::new();
+        if let Some(step) = &step {
+            let from = info.process.index();
+            if let Some(payload) = &step.result.broadcast {
+                scheduled.extend(sent.zip(0..).map(|(seq, to)| ZoneEvent::Deliver {
+                    seq,
+                    to,
+                    from,
+                    value: payload.value,
+                }));
             }
-            ZoneEvent::Step(p) => {
-                let idx = self
-                    .pending
-                    .iter()
-                    .position(|e| matches!(e.kind, PendingKind::Step(q) if q == p))
-                    .expect("every process always has a pending step");
-                self.pending.remove(idx);
-                let (_received, was_idle, idle_after, outgoing) = self.perform_step(p);
-
-                let mut scheduled = Vec::new();
-                if let Some(payload) = outgoing {
-                    for q in 0..self.n {
-                        let kind = PendingKind::Deliver {
-                            to: q,
-                            from: p,
-                            value: payload.value,
-                            msg: None,
-                        };
-                        let seq = self.schedule(Time::ZERO, kind);
-                        scheduled.push(ZoneEvent::Deliver {
-                            seq,
-                            to: q,
-                            from: p,
-                            value: payload.value,
-                        });
-                    }
-                }
-                self.schedule(Time::ZERO, PendingKind::Step(p));
-                scheduled.push(ZoneEvent::Step(p));
-
-                let info = StepInfo {
-                    time: Time::ZERO,
-                    process: ProcessId::new(p),
-                    port: Some(PortId::new(p)),
-                    was_idle,
-                    idle_after,
-                    is_process_step: true,
-                    b_violation: None,
-                };
-                (info, scheduled)
-            }
+            scheduled.push(ZoneEvent::Step(from));
         }
+        (info, scheduled)
     }
 
     /// A hash of the discrete control state only: [`MpMachine::state_hash`]
@@ -1408,6 +1400,8 @@ mod tests {
     use super::*;
     use session_adversary::naive::{naive_semisync_sm_port, naive_sporadic_mp_port};
     use session_types::fingerprint_of;
+
+    use crate::explore::AnyMachine;
 
     /// The bare port behind `algo`, fingerprinted three ways: through
     /// the port's own method, as an engine hosting it boxed would, and
@@ -1680,5 +1674,130 @@ mod tests {
             pending.seq += 1000;
         }
         assert_eq!(a.state_hash(), b.state_hash());
+    }
+
+    /// Every child of one broadcasting step installs the same stepped
+    /// process, whatever delays it assigns: the step was taken once, when
+    /// the menu was built.
+    #[test]
+    fn mp_broadcasting_step_is_taken_once_for_all_its_children() {
+        let machine = sporadic_mp_machine(3);
+        let mut menu = Menu::default();
+        machine.build_menu(&mut menu);
+        let block = menu.range(0);
+        assert!(matches!(
+            menu.events()[0].kind,
+            EligibleKind::Step {
+                process: 0,
+                broadcasts: true
+            }
+        ));
+        let (mut a, mut b) = (machine.clone(), machine.clone());
+        let _ = a.apply_menu(&menu, block.start, None);
+        let _ = b.apply_menu(&menu, block.start + 1, None);
+        assert_ne!(a.state_hash(), b.state_hash(), "different delay combos");
+        assert!(Arc::ptr_eq(&a.algos[0], &b.algos[0]));
+    }
+
+    /// Drives `root` to quiescence, always firing the eligible event with
+    /// the smallest insertion `seq` (the engine queue's FIFO tie-break)
+    /// and a pseudo-random gap and delay combo from its block. Returns
+    /// the machine, its trace, each process's step times (the first and
+    /// every scheduled next one) and the delays in send order.
+    #[allow(clippy::type_complexity)]
+    fn drive_fifo(
+        root: &MpMachine,
+        seed: u64,
+    ) -> (
+        MpMachine,
+        session_sim::Trace,
+        std::collections::BTreeMap<ProcessId, Vec<Time>>,
+        Vec<Dur>,
+    ) {
+        let mut machine = root.clone();
+        let mut trace = session_sim::Trace::new(machine.n);
+        let step_time = |m: &MpMachine, p: usize| {
+            let pending = m.pending.iter();
+            let mut steps = pending.filter(|e| matches!(e.kind, PendingKind::Step(q) if q == p));
+            steps.next().expect("every process has a pending step").time
+        };
+        let mut times: std::collections::BTreeMap<ProcessId, Vec<Time>> = (0..machine.n)
+            .map(|p| (ProcessId::new(p), vec![step_time(&machine, p)]))
+            .collect();
+        let mut delays = Vec::new();
+        let mut rng = seed | 1;
+        let mut menu = Menu::default();
+        for _ in 0..10_000 {
+            if machine.is_quiescent() {
+                return (machine, trace, times, delays);
+            }
+            machine.build_menu(&mut menu);
+            let fifo = (0..menu.events().len())
+                .min_by_key(|&i| machine.pending[menu.events()[i].at].seq)
+                .expect("a non-quiescent machine has eligible events");
+            let block = menu.range(fifo);
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let choice = block.start + (rng % block.len() as u64) as usize;
+            let first_new = machine.next_seq;
+            let info = machine.apply_menu(&menu, choice, Some(&mut trace));
+            if info.is_process_step {
+                let p = info.process.index();
+                times
+                    .get_mut(&info.process)
+                    .expect("listed")
+                    .push(step_time(&machine, p));
+                let mut sent: Vec<&Pending> = machine
+                    .pending
+                    .iter()
+                    .filter(|e| e.seq >= first_new && matches!(e.kind, PendingKind::Deliver { .. }))
+                    .collect();
+                sent.sort_by_key(|e| e.seq);
+                delays.extend(sent.iter().map(|e| e.time - info.time));
+            }
+        }
+        panic!("no quiescence within 10,000 events");
+    }
+
+    /// The machine steps message passing exactly as [`session_mpm::MpEngine`]
+    /// does: along the engine's own FIFO order, with its gaps and delays
+    /// scripted into the engine, both record the same events, the same
+    /// message send and delivery times and the same process states up to
+    /// the engine's quiescence stop.
+    #[test]
+    fn mp_machine_matches_the_engine_along_fifo_paths() {
+        use session_sim::{ExplicitSchedule, RunLimits, ScriptedDelay};
+        for name in ["SyncMp", "PeriodicMp", "SporadicMp"] {
+            let space = crate::targets::scoped_target_space(name, 3, 3).expect("registered");
+            for (r, root) in space.roots.iter().enumerate() {
+                let AnyMachine::Mp(root) = root else {
+                    panic!("{name} is a message-passing target");
+                };
+                for seed in [0x9e37, 0x51ed, 0xc0ffee, 0xdecade] {
+                    let (end, trace, times, delays) = drive_fifo(root, seed);
+                    let processes: Vec<Box<dyn MpProcess<SessionMsg>>> = root
+                        .algos
+                        .iter()
+                        .map(|a| Box::new(MpAlgo::clone(a)) as Box<dyn MpProcess<SessionMsg>>)
+                        .collect();
+                    let ports = (0..root.n)
+                        .map(|i| (ProcessId::new(i), PortId::new(i)))
+                        .collect();
+                    let mut engine = session_mpm::MpEngine::new(processes, ports).expect("engine");
+                    let mut schedule =
+                        ExplicitSchedule::new(times, Dur::from_int(1)).expect("scripted steps");
+                    let mut policy = ScriptedDelay::new(delays, Dur::ZERO).expect("delays");
+                    let outcome = engine
+                        .run(&mut schedule, &mut policy, RunLimits::new(100_000))
+                        .expect("engine run");
+                    let at = format!("{name} root {r} seed {seed:#x}");
+                    assert!(outcome.terminated, "{at}: engine quiesces");
+                    assert_eq!(outcome.trace.events(), trace.events(), "{at}: events");
+                    assert_eq!(outcome.trace.messages(), trace.messages(), "{at}: messages");
+                    assert_eq!(engine.fingerprints(), end.fingerprints(), "{at}: states");
+                }
+            }
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! convex hulls — one clock per pending event, constrained to fire within
 //! its scheduling window — so all schedules that produce the same event
 //! *order* collapse into a single zone-graph node. The discrete semantics
-//! stay bit-for-bit the machine's own (`zone_apply` shares the step body
-//! with `apply`), which is what makes the SA012 cross-check meaningful.
+//! stay bit-for-bit the machine's own (`zone_apply` fires through the same
+//! body as `apply`, with zero placeholder times), which is what makes the
+//! SA012 cross-check meaningful.
 //!
 //! Clock layout: DBM clock 0 is the constant reference, clock 1 is the
 //! global elapsed time `T` (never reset — its upper bound at the closing
@@ -53,6 +54,7 @@ use session_types::{Dur, KnownBounds, Ratio};
 
 use crate::dbm::{Bound, Dbm};
 use crate::diag::LintCode;
+pub use crate::explore::explicit_control_reach;
 use crate::explore::{check_step, session_deficit, AnyMachine, SessionCounter, LASSO};
 use crate::machine::ZoneEvent;
 use crate::scope::Scope;
@@ -510,7 +512,7 @@ impl Space for ZoneWalker<'_> {
         for ev in scheduled {
             let (lo, hi, hi_sym) = match ev {
                 ZoneEvent::Step(p) => {
-                    let (lo, hi) = next.gap_window(p);
+                    let (lo, hi) = next.gaps().window(p);
                     (lo, hi, gap_hi_sym(hi, self.bounds))
                 }
                 ZoneEvent::Deliver { .. } => {
@@ -628,13 +630,6 @@ pub fn zone_walk_timed(
         worst_close_memo_hits: counts.memo_hits,
         dbm_close: walker.dbm_close,
     }
-}
-
-/// The explicit side of the SA012 cross-check: a serial full-menu walk
-/// (no POR, no symmetry — reductions must not be able to mask a
-/// divergence) collecting the reachable control-hash set.
-pub fn explicit_control_reach(roots: &[AnyMachine], scope: &Scope) -> ExplicitReach {
-    crate::explore::control_reach(roots, scope)
 }
 
 /// The `SA012` detector on its own: the zone walker explores the convex

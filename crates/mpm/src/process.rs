@@ -53,10 +53,12 @@ pub trait MpProcess<M>: fmt::Debug + Send {
 /// What one algorithm step did: the inputs it consumed, the broadcast it
 /// produced, and whether the process is idle afterwards.
 ///
-/// This is the shared vocabulary of the two executors — the discrete-event
-/// simulator ([`crate::MpEngine`]) and the real-clock runtime
-/// (`session-net`) both drive processes exclusively through
-/// [`step_process`], so a process cannot behave differently under the two.
+/// This is the shared vocabulary of everything that steps a process: the
+/// discrete-event simulator ([`crate::MpEngine`]), the real-clock runtime
+/// (`session-net`), the session service (`session-serve`) and the
+/// analyzer's message-passing machine (`session-analyzer`) all drive
+/// processes exclusively through [`step_process`], so a process cannot
+/// behave differently under any of them.
 #[derive(Debug)]
 pub struct StepResult<M> {
     /// How many messages were in the buffer (all were consumed).
@@ -68,7 +70,8 @@ pub struct StepResult<M> {
 }
 
 /// Executes one step of `process` on `inbox`: the single algorithm-step
-/// function shared by the simulator engine and the real-clock runtime.
+/// function shared by the simulator engine, the real-clock runtime, the
+/// session service and the analyzer.
 ///
 /// With the `strict-invariants` feature, asserts that idle states are
 /// closed under steps (§2.3).
