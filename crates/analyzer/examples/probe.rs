@@ -11,7 +11,13 @@ fn main() {
             }
         }
         let start = std::time::Instant::now();
-        let report = session_analyzer::analyze_target(name).expect("known target");
+        let (report, _) = session_analyzer::target_space(name)
+            .expect("known target")
+            .analyze(
+                session_analyzer::ExploreOpts::default(),
+                &mut session_obs::NullRecorder,
+                &session_analyzer::FlightOpts::default(),
+            );
         let elapsed = start.elapsed();
         let codes: Vec<String> = report.findings.iter().map(|d| d.code.to_string()).collect();
         println!(

@@ -365,13 +365,9 @@ impl Exploration {
 }
 
 /// Exhaustively explores every root machine, sharing the memo across
-/// roots. `s` is the required session count, `n` the number of ports,
-/// `max_depth` the per-path event budget.
-pub fn explore(roots: &[AnyMachine], n: usize, s: u64, max_depth: usize) -> Exploration {
-    explore_recorded(roots, n, s, max_depth, &mut NullRecorder)
-}
-
-/// [`explore`] with reduction layers enabled per `opts`.
+/// roots, with reduction layers enabled per `opts`. `s` is the required
+/// session count, `n` the number of ports, `max_depth` the per-path event
+/// budget.
 pub fn explore_with_opts(
     roots: &[AnyMachine],
     n: usize,
@@ -379,46 +375,24 @@ pub fn explore_with_opts(
     max_depth: usize,
     opts: ExploreOpts,
 ) -> Exploration {
-    explore_recorded_opts(roots, n, s, max_depth, opts, &mut NullRecorder)
-}
-
-/// [`explore`] with instrumentation: emits an `explore.frontier_depth`
-/// histogram (DFS path length at each expansion), final
-/// `explore.memo_hits` / `explore.memo_misses` / `explore.pruned_choices`
-/// counters and `explore.states` / `explore.states_per_sec` gauges to
-/// `recorder`, timing each root under an `explore.root` span.
-pub fn explore_recorded(
-    roots: &[AnyMachine],
-    n: usize,
-    s: u64,
-    max_depth: usize,
-    recorder: &mut dyn Recorder,
-) -> Exploration {
-    explore_recorded_opts(roots, n, s, max_depth, ExploreOpts::default(), recorder)
-}
-
-/// [`explore_recorded`] with reduction layers enabled per `opts`.
-pub fn explore_recorded_opts(
-    roots: &[AnyMachine],
-    n: usize,
-    s: u64,
-    max_depth: usize,
-    opts: ExploreOpts,
-    recorder: &mut dyn Recorder,
-) -> Exploration {
     explore_flight(
         roots,
         n,
         s,
         max_depth,
         opts,
-        recorder,
+        &mut NullRecorder,
         &FlightOpts::default(),
     )
     .0
 }
 
-/// [`explore_recorded_opts`] with the flight recorder attached (DESIGN.md
+/// [`explore_with_opts`] with instrumentation and the flight recorder
+/// attached. To `recorder` it emits an `explore.frontier_depth` histogram
+/// (DFS path length at each expansion), final `explore.memo_hits` /
+/// `explore.memo_misses` / `explore.pruned_choices` counters and
+/// `explore.states` / `explore.states_per_sec` gauges, timing each root
+/// under an `explore.root` span. With the flight recorder (DESIGN.md
 /// §15): when `flight.profile` is set, the returned [`ExploreProfile`]
 /// breaks down where the exploration spent its time — per worker for the
 /// parallel path, as one degenerate all-expand worker for the serial
@@ -593,7 +567,7 @@ pub fn check_step(
 
 /// Re-derives the canonical (serial first-witness) violation paths for a
 /// known set of lint codes: runs the serial DFS in the exact order
-/// [`explore_recorded_opts`] uses, but stops as soon as every wanted code
+/// [`explore_flight`] uses, but stops as soon as every wanted code
 /// has a recorded witness. The parallel explorer uses this to report the
 /// same counterexamples the serial path would, independent of thread
 /// interleaving — and on clean targets (empty `codes`) it costs nothing.

@@ -76,10 +76,7 @@ pub use hb::{analyze_trace_jsonl, HbAnalysis};
 pub use profile::{ExploreProfile, FlightOpts, WorkerProfile};
 pub use scope::Scope;
 pub use targets::{
-    analyze_all, analyze_all_with, analyze_scoped_target_flight, analyze_space_symbolic,
-    analyze_space_symbolic_recorded, analyze_target, analyze_target_flight,
-    analyze_target_recorded, analyze_target_symbolic, analyze_target_symbolic_recorded,
-    analyze_target_with, periodic_mp_space_with_delays, scoped_target_space, symbolic_depth,
-    target_names, target_space, TargetSpace, TARGET_NAMES,
+    periodic_mp_space_with_delays, scoped_target_space, target_names, target_space, TargetSpace,
+    TARGET_NAMES,
 };
-pub use zones::{SymbolicAnalysis, ZoneWalk};
+pub use zones::ZoneWalk;

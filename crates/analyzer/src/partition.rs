@@ -861,7 +861,7 @@ fn explore_partitioned(
 /// — see the module docs for the phase split. Every field of the
 /// returned [`Exploration`] (codes, witness roots, witness paths,
 /// `states`, `truncated`, `depth_hits`, reduction stats) is
-/// bit-identical to [`crate::explore::explore_recorded_opts`] at
+/// bit-identical to [`crate::explore::explore_flight`] at
 /// `threads = 1`.
 ///
 /// The flight recorder rides along: when `flight.profile` is set, the

@@ -4,7 +4,7 @@
 //! Small-scope model checking replaces the continuum of admissible timed
 //! executions with a finite menu of step gaps and message delays, chosen so
 //! that every menu element is admissible under the target's
-//! [`KnownBounds`] and the menus still contain the adversarial extremes the
+//! [`KnownBounds`](session_types::KnownBounds) and the menus still contain the adversarial extremes the
 //! lower-bound proofs use (slowest-allowed process, widest delay spread).
 //! Exploring *all* interleavings over those menus is then exhaustive for
 //! the chosen scope.

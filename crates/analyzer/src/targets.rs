@@ -6,11 +6,13 @@
 //! finite menus of admissible step gaps and message delays derived from
 //! the timing parameters — and a set of exploration roots (one per
 //! first-step assignment, and for the periodic model one per period
-//! assignment). [`analyze_target`] explores the complete reachable state
-//! space of every root, reconstructs a rendered counterexample for each
-//! violation found, and self-checks the counterexample against the
+//! assignment). [`TargetSpace::analyze`] explores the complete reachable
+//! state space of every root, reconstructs a rendered counterexample for
+//! each violation found, and self-checks the counterexample against the
 //! reference admissibility checker, the reference session counter and (for
-//! shared memory) a replay through the real engine.
+//! shared memory) a replay through the real engine;
+//! [`TargetSpace::analyze_symbolic`] runs the zone-graph engine over the
+//! same space.
 //!
 //! Menu choices follow the lower-bound adversaries of the paper: each menu
 //! contains the fastest admissible gap and a much slower one (for the
@@ -20,10 +22,10 @@
 //! menu entry plays the role of a bounded-unfairness window: exhaustive at
 //! this scope, representative beyond it.
 //!
-//! [`target_space`] exposes a target's scope, bounds and roots without
-//! analyzing it, and [`scoped_target_space`] rebuilds a target at a
-//! different `(n, s)` — the differential harness uses both to compare the
-//! reduced and unreduced explorations of the same space.
+//! [`target_space`] builds a target at the registry's default dimensions
+//! and [`scoped_target_space`] at a different `(n, s)`; both engines then
+//! analyze the one built space, so their verdicts describe the same
+//! scope.
 
 use session_adversary::naive::{
     naive_periodic_sm_port, naive_semisync_sm_port, naive_sporadic_mp_port,
@@ -32,15 +34,19 @@ use session_core::algorithms::{
     AsyncMpPort, AsyncSmPort, PeriodicMpPort, PeriodicSmPort, SemiSyncMpPort, SemiSyncSmPort,
     SporadicMpPort, SyncMpPort, SyncSmPort,
 };
+use session_obs::Recorder;
 use session_smm::TreeSpec;
 use session_types::{Dur, KnownBounds, ProcessId, SessionSpec, Time, TimingModel, VarId};
 
 use crate::diag::{Diagnostic, LintCode, Report, TargetSummary};
-use crate::explore::{explore_flight, AnyMachine, ExploreOpts, SessionCounter};
+use crate::explore::{
+    explicit_control_reach, explore_flight, AnyMachine, ExploreOpts, SessionCounter,
+};
 use crate::machine::{assignments, sm_system_algos, GapMode, MpAlgo, MpMachine, SmAlgo, SmMachine};
 use crate::profile::{ExploreProfile, FlightOpts};
 use crate::replay;
 use crate::scope::Scope;
+use crate::zones::{bound_finding, coverage_finding, dead_branch_findings, zone_walk_timed};
 
 /// Maximum timeline lines rendered into a diagnostic.
 const RENDER_LINES: usize = 60;
@@ -68,11 +74,14 @@ pub fn target_names() -> &'static [&'static str] {
     &TARGET_NAMES
 }
 
-/// A target ready to explore: its scope, the timing bounds counterexample
-/// traces must satisfy, and the exploration roots (one per first-step or
-/// period assignment).
+/// A target ready to explore: its name, its scope, the timing bounds
+/// counterexample traces must satisfy, and the exploration roots (one per
+/// first-step or period assignment). Both engines analyze the built
+/// space, so the explicit and the symbolic verdicts describe one scope.
 #[derive(Debug)]
 pub struct TargetSpace {
+    /// The registry name every report row and finding is filed under.
+    pub name: &'static str,
     /// The explored scope: dimensions, menus and the depth budget.
     pub scope: Scope,
     /// The timing bounds every counterexample trace must satisfy.
@@ -82,11 +91,149 @@ pub struct TargetSpace {
 }
 
 impl TargetSpace {
-    /// Runs the full analysis pipeline over this space — exploration with
-    /// `opts`, counterexample reconstruction and self-check — reporting
-    /// the target under `name`.
-    pub fn analyze(&self, name: &str, opts: ExploreOpts) -> Report {
-        analyze_space(name, self, opts, &mut session_obs::NullRecorder)
+    /// The explicit pipeline: explores this space under `opts` (see
+    /// [`explore_flight`] for what reaches `recorder` and `flight`),
+    /// reconstructs and self-checks a counterexample for every violation,
+    /// and returns the report with the exploration's summary row. The
+    /// second return is the exploration's [`ExploreProfile`] (target name
+    /// filled in) when `flight.profile` asked for one; the report is
+    /// bit-identical with or without the flight recorder (asserted by the
+    /// invariance test in `tests/full_pipeline.rs`).
+    pub fn analyze(
+        &self,
+        opts: ExploreOpts,
+        recorder: &mut dyn Recorder,
+        flight: &FlightOpts,
+    ) -> (Report, Option<ExploreProfile>) {
+        let (exploration, mut profile) = explore_flight(
+            &self.roots,
+            self.scope.n,
+            self.scope.s,
+            self.scope.max_depth,
+            opts,
+            recorder,
+            flight,
+        );
+        if let Some(profile) = &mut profile {
+            profile.target = self.name.to_string();
+        }
+        let mut report = Report::default();
+        report.targets.push(TargetSummary {
+            name: self.name.to_string(),
+            states: exploration.states,
+            pruned: exploration.stats.pruned,
+            memo_hits: exploration.stats.memo_hits,
+            truncated: exploration.truncated,
+            depth_hits: exploration.depth_hits,
+        });
+        for violation in &exploration.violations {
+            let root = &self.roots[violation.root];
+            let counterexample = replay::replay(root, &violation.path);
+            // The explorer's count is only the full-trace count at a quiescent
+            // leaf; mid-path violations skip the counter cross-check.
+            let expected = (violation.code == LintCode::SessionDeficit)
+                .then(|| incremental_sessions(root, &violation.path, self.scope.n, self.scope.s));
+            let problems = replay::self_check(root, &counterexample, &self.bounds, expected);
+            let repro = replay::repro_string(violation.root, &violation.path);
+            report.findings.push(Diagnostic {
+                code: violation.code,
+                target: self.name.to_string(),
+                message: violation.message.clone(),
+                scope: self.scope.describe(),
+                repro: repro.clone(),
+                counterexample: replay::render(&counterexample, RENDER_LINES),
+            });
+            // A failed self-check means the checker's model drifted from the
+            // system itself: report it loudly rather than trusting the finding.
+            for problem in problems {
+                report.findings.push(Diagnostic {
+                    code: LintCode::InadmissibleStep,
+                    target: self.name.to_string(),
+                    message: format!("counterexample self-check failed: {problem}"),
+                    scope: self.scope.describe(),
+                    repro: repro.clone(),
+                    counterexample: String::new(),
+                });
+            }
+        }
+        (report, profile)
+    }
+
+    /// The scope the zone walker runs at. Almost every target uses the
+    /// explicit explorer's depth budget, so an untruncated walk certifies
+    /// the same horizon. The exception is the naive sporadic witness: it
+    /// streams messages without ever going idle, and the zone graph over
+    /// the accumulating in-flight clocks grows far faster than the
+    /// explicit space — a clamped budget still reaches its `SA003`
+    /// violation (that is what a witness is for) and the truncation is
+    /// reported, which also correctly disables the SA011/SA012 clean
+    /// verdicts for it.
+    pub fn symbolic_scope(&self) -> Scope {
+        let mut scope = self.scope.clone();
+        if self.name == "NaiveSporadicMp" {
+            scope.max_depth = scope.max_depth.min(16);
+        }
+        scope
+    }
+
+    /// The symbolic pipeline over this space at [`Self::symbolic_scope`]:
+    /// the `SA010` dead-branch scan, the zone walk (which re-derives the
+    /// discrete codes), the `SA011` comparison against the target's
+    /// Table 1 bound and the `SA012` explicit/symbolic reachability
+    /// cross-check, reported under `"{name} (symbolic)"`.
+    ///
+    /// An enabled `recorder` receives the zone walker's `zones.*`
+    /// counters (zone states, explicit mirror states, DBM guard-zone
+    /// closures, worst-close memo hits) and — because it switches the
+    /// walk into its timed mode — the per-closure `zones.dbm_close_us`
+    /// histogram. Symbolic findings carry no repro or rendered
+    /// counterexample: the zone graph collapses all schedules with one
+    /// event order, so there is no single timed trace to replay.
+    pub fn analyze_symbolic(&self, recorder: &mut dyn Recorder) -> Report {
+        let scope = self.symbolic_scope();
+        let mut findings = dead_branch_findings(&scope, &self.bounds);
+        let walk = zone_walk_timed(&self.roots, &scope, &self.bounds, recorder.is_enabled());
+        findings.extend(walk.findings);
+        findings.extend(bound_finding(
+            walk.worst_close,
+            table1_bound(self.name, &scope, &self.bounds),
+        ));
+        // The mirror walk runs on the full menus, not on the explicit
+        // explorer's (possibly reduced, possibly parallel) walk: reductions
+        // must not be able to mask a divergence.
+        let explicit = explicit_control_reach(&self.roots, &scope);
+        if !walk.truncated && !explicit.truncated {
+            findings.extend(coverage_finding(&walk.controls, &explicit.controls));
+        }
+        findings.sort_by_key(|(code, _)| *code);
+        if recorder.is_enabled() {
+            recorder.counter("zones.zone_states", walk.zone_states);
+            recorder.counter("zones.explicit_states", explicit.states);
+            recorder.counter("zones.dbm_closures", walk.dbm_closures);
+            recorder.counter("zones.worst_close_memo_hits", walk.worst_close_memo_hits);
+            recorder.merge_histogram("zones.dbm_close_us", &walk.dbm_close);
+        }
+        let mut report = Report::default();
+        report.targets.push(TargetSummary {
+            name: format!("{} (symbolic)", self.name),
+            states: walk.zone_states,
+            pruned: 0,
+            memo_hits: walk.worst_close_memo_hits,
+            truncated: walk.truncated || explicit.truncated,
+            depth_hits: walk.depth_hits,
+        });
+        let scope_desc = format!("{} engine=symbolic", scope.describe());
+        for (code, message) in findings {
+            report.findings.push(Diagnostic {
+                code,
+                target: self.name.to_string(),
+                message,
+                scope: scope_desc.clone(),
+                repro: String::new(),
+                counterexample: String::new(),
+            });
+        }
+        report
     }
 }
 
@@ -225,6 +372,7 @@ fn scaled_depth(base: usize, n: usize, s: u64, defaults: (usize, u64)) -> usize 
 /// parameters and the derived gap/delay menus) are per-target fixtures.
 #[allow(clippy::too_many_lines)]
 fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
+    let name = *TARGET_NAMES.iter().find(|known| **known == name)?;
     let expect_bounds = "scope constants are valid bounds";
     let expect_algo = "scope constants are valid algorithm parameters";
     let defaults = default_dims(name)?;
@@ -238,6 +386,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 .map(|i| SmAlgo::Sync(SyncSmPort::new(VarId::new(i), s)))
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(n, s, b, TimingModel::Synchronous, &gaps, &[], depth(40)),
                 bounds: KnownBounds::synchronous(dur(1), dur(1)).expect(expect_bounds),
                 roots: sm_per_step_roots(ports, n, b, &gaps),
@@ -254,6 +403,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 })
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(n, s, b, TimingModel::Periodic, &periods, &[], depth(160)),
                 bounds: KnownBounds::periodic(dur(1)).expect(expect_bounds),
                 roots: sm_periodic_roots(ports, n, b, &periods),
@@ -283,6 +433,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 })
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(
                     n,
                     s,
@@ -305,6 +456,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 .map(|i| SmAlgo::Async(AsyncSmPort::new(ProcessId::new(i), VarId::new(i), s, n)))
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(n, s, b, TimingModel::Sporadic, &gaps, &[], depth(160)),
                 bounds: KnownBounds::sporadic(dur(1), Dur::ZERO, dur(1)).expect(expect_bounds),
                 roots: sm_per_step_roots(ports, n, b, &gaps),
@@ -318,6 +470,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 .map(|i| SmAlgo::Async(AsyncSmPort::new(ProcessId::new(i), VarId::new(i), s, n)))
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(n, s, b, TimingModel::Asynchronous, &gaps, &[], depth(160)),
                 bounds: KnownBounds::asynchronous(),
                 roots: sm_per_step_roots(ports, n, b, &gaps),
@@ -329,6 +482,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
             let delays = [dur(1)];
             let algos = (0..n).map(|_| MpAlgo::Sync(SyncMpPort::new(s))).collect();
             Some(TargetSpace {
+                name,
                 scope: scope(n, s, 0, TimingModel::Synchronous, &gaps, &delays, depth(40)),
                 bounds: KnownBounds::synchronous(dur(1), dur(1)).expect(expect_bounds),
                 roots: mp_per_step_roots(algos, &gaps, &gaps, &delays),
@@ -342,6 +496,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 .map(|_| MpAlgo::Periodic(PeriodicMpPort::new(s, n)))
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(
                     n,
                     s,
@@ -367,6 +522,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 })
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(
                     n,
                     s,
@@ -397,6 +553,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 })
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(n, s, 0, TimingModel::Sporadic, &gaps, &delays, depth(80)),
                 bounds: KnownBounds::sporadic(c1, d1, d2).expect(expect_bounds),
                 roots: mp_per_step_roots(algos, &firsts, &gaps, &delays),
@@ -410,6 +567,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 .map(|_| MpAlgo::Async(AsyncMpPort::new(s, n)))
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(
                     n,
                     s,
@@ -432,6 +590,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 .map(|i| SmAlgo::Naive(naive_periodic_sm_port(VarId::new(i), s)))
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(n, s, b, TimingModel::Periodic, &periods, &[], depth(160)),
                 bounds: KnownBounds::periodic(dur(1)).expect(expect_bounds),
                 roots: sm_periodic_roots(ports, n, b, &periods),
@@ -453,6 +612,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 })
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(
                     n,
                     s,
@@ -480,6 +640,7 @@ fn build_target_at(name: &str, n: usize, s: u64) -> Option<TargetSpace> {
                 .map(|i| MpAlgo::Sporadic(naive_sporadic_mp_port(ProcessId::new(i), s, n)))
                 .collect();
             Some(TargetSpace {
+                name,
                 scope: scope(n, s, 0, TimingModel::Sporadic, &gaps, &delays, depth(60)),
                 bounds: KnownBounds::sporadic(c1, d1, d2).expect(expect_bounds),
                 roots: mp_per_step_roots(algos, &firsts, &gaps, &delays),
@@ -525,6 +686,7 @@ pub fn periodic_mp_space_with_delays(n: usize, s: u64, delays: &[Dur]) -> Target
         .map(|_| MpAlgo::Periodic(PeriodicMpPort::new(s, n)))
         .collect();
     TargetSpace {
+        name: "PeriodicMp",
         scope: scope(
             n,
             s,
@@ -549,157 +711,6 @@ fn incremental_sessions(root: &AnyMachine, path: &[usize], n: usize, s: u64) -> 
         counter.observe(&info);
     }
     counter.sessions()
-}
-
-/// The shared analysis pipeline: explores `built` under `opts`,
-/// reconstructs and self-checks a counterexample for every violation, and
-/// returns the report with the exploration's summary row.
-fn analyze_space(
-    name: &str,
-    built: &TargetSpace,
-    opts: ExploreOpts,
-    recorder: &mut dyn session_obs::Recorder,
-) -> Report {
-    analyze_space_flight(name, built, opts, recorder, &FlightOpts::default()).0
-}
-
-/// [`analyze_space`] with the flight recorder attached: the second return
-/// is the exploration's [`ExploreProfile`] (target name filled in) when
-/// `flight.profile` asked for one.
-fn analyze_space_flight(
-    name: &str,
-    built: &TargetSpace,
-    opts: ExploreOpts,
-    recorder: &mut dyn session_obs::Recorder,
-    flight: &FlightOpts,
-) -> (Report, Option<ExploreProfile>) {
-    let (exploration, mut profile) = explore_flight(
-        &built.roots,
-        built.scope.n,
-        built.scope.s,
-        built.scope.max_depth,
-        opts,
-        recorder,
-        flight,
-    );
-    if let Some(profile) = &mut profile {
-        profile.target = name.to_string();
-    }
-    let mut report = Report::default();
-    report.targets.push(TargetSummary {
-        name: name.to_string(),
-        states: exploration.states,
-        pruned: exploration.stats.pruned,
-        memo_hits: exploration.stats.memo_hits,
-        truncated: exploration.truncated,
-        depth_hits: exploration.depth_hits,
-    });
-    for violation in &exploration.violations {
-        let root = &built.roots[violation.root];
-        let counterexample = replay::replay(root, &violation.path);
-        // The explorer's count is only the full-trace count at a quiescent
-        // leaf; mid-path violations skip the counter cross-check.
-        let expected = (violation.code == LintCode::SessionDeficit)
-            .then(|| incremental_sessions(root, &violation.path, built.scope.n, built.scope.s));
-        let problems = replay::self_check(root, &counterexample, &built.bounds, expected);
-        let repro = replay::repro_string(violation.root, &violation.path);
-        report.findings.push(Diagnostic {
-            code: violation.code,
-            target: name.to_string(),
-            message: violation.message.clone(),
-            scope: built.scope.describe(),
-            repro: repro.clone(),
-            counterexample: replay::render(&counterexample, RENDER_LINES),
-        });
-        // A failed self-check means the checker's model drifted from the
-        // system itself: report it loudly rather than trusting the finding.
-        for problem in problems {
-            report.findings.push(Diagnostic {
-                code: LintCode::InadmissibleStep,
-                target: name.to_string(),
-                message: format!("counterexample self-check failed: {problem}"),
-                scope: built.scope.describe(),
-                repro: repro.clone(),
-                counterexample: String::new(),
-            });
-        }
-    }
-    (report, profile)
-}
-
-/// Analyzes one named target: explores its complete state space at scope,
-/// reconstructs and self-checks a counterexample for every violation, and
-/// returns the report. `None` for an unknown target name.
-pub fn analyze_target(name: &str) -> Option<Report> {
-    analyze_target_recorded(name, &mut session_obs::NullRecorder)
-}
-
-/// [`analyze_target`] with instrumentation: forwards the explorer's
-/// `explore.*` metrics (memo hit/miss counters, frontier-depth histogram,
-/// states and states/sec gauges) to `recorder`.
-pub fn analyze_target_recorded(
-    name: &str,
-    recorder: &mut dyn session_obs::Recorder,
-) -> Option<Report> {
-    analyze_target_with(name, ExploreOpts::default(), recorder)
-}
-
-/// [`analyze_target_recorded`] with reduction layers enabled per `opts`.
-/// The differential harness in `tests/reduction_diff.rs` proves every
-/// `opts` combination yields the same verdicts.
-pub fn analyze_target_with(
-    name: &str,
-    opts: ExploreOpts,
-    recorder: &mut dyn session_obs::Recorder,
-) -> Option<Report> {
-    let built = target_space(name)?;
-    Some(analyze_space(name, &built, opts, recorder))
-}
-
-/// [`analyze_target_with`] with the flight recorder attached (DESIGN.md
-/// §15): the second return is the exploration's [`ExploreProfile`] when
-/// `flight.profile` asked for one; a progress board in `flight.progress`
-/// receives batched live updates either way. The report is bit-identical
-/// with or without the flight recorder (asserted by the invariance test
-/// in `tests/full_pipeline.rs`).
-pub fn analyze_target_flight(
-    name: &str,
-    opts: ExploreOpts,
-    recorder: &mut dyn session_obs::Recorder,
-    flight: &FlightOpts,
-) -> Option<(Report, Option<ExploreProfile>)> {
-    let built = target_space(name)?;
-    Some(analyze_space_flight(name, &built, opts, recorder, flight))
-}
-
-/// [`analyze_target_flight`] over the target rebuilt at dimensions
-/// `(n, s)` (see [`scoped_target_space`]) — the CLI's `n=`/`s=` options.
-pub fn analyze_scoped_target_flight(
-    name: &str,
-    n: usize,
-    s: u64,
-    opts: ExploreOpts,
-    recorder: &mut dyn session_obs::Recorder,
-    flight: &FlightOpts,
-) -> Option<(Report, Option<ExploreProfile>)> {
-    let built = scoped_target_space(name, n, s)?;
-    Some(analyze_space_flight(name, &built, opts, recorder, flight))
-}
-
-/// Analyzes every target in [`TARGET_NAMES`] order and merges the reports.
-pub fn analyze_all() -> Report {
-    analyze_all_with(ExploreOpts::default())
-}
-
-/// [`analyze_all`] with reduction layers enabled per `opts`.
-pub fn analyze_all_with(opts: ExploreOpts) -> Report {
-    let mut report = Report::default();
-    for name in TARGET_NAMES {
-        let target_report = analyze_target_with(name, opts, &mut session_obs::NullRecorder)
-            .expect("TARGET_NAMES entries are buildable");
-        report.merge(target_report);
-    }
-    report
 }
 
 /// The paper's Table 1 closing-time bound for the named target, as an
@@ -770,102 +781,6 @@ pub fn table1_bound(name: &str, scope: &Scope, bounds: &KnownBounds) -> Option<(
     }
 }
 
-/// The zone walker's depth budget for the named target. Almost every
-/// target uses the explicit explorer's budget, so an untruncated walk
-/// certifies the same horizon. The exception is the naive sporadic
-/// witness: it streams messages without ever going idle, and the zone
-/// graph over the accumulating in-flight clocks grows far faster than
-/// the explicit space — a clamped budget still reaches its `SA003`
-/// violation (that is what a witness is for) and the truncation is
-/// reported, which also correctly disables the SA011/SA012 clean
-/// verdicts for it.
-pub fn symbolic_depth(name: &str, scope: &Scope) -> usize {
-    match name {
-        "NaiveSporadicMp" => scope.max_depth.min(16),
-        _ => scope.max_depth,
-    }
-}
-
-/// Runs the symbolic pipeline over an already-built space — dead-branch
-/// scan, zone-graph walk, Table 1 comparison and the explicit/symbolic
-/// reachability cross-check — reporting the target under
-/// `"{name} (symbolic)"`. Symbolic findings carry no repro or rendered
-/// counterexample: the zone graph collapses all schedules with one event
-/// order, so there is no single timed trace to replay.
-pub fn analyze_space_symbolic(name: &str, built: &TargetSpace) -> Report {
-    analyze_space_symbolic_recorded(name, built, &mut session_obs::NullRecorder)
-}
-
-/// [`analyze_space_symbolic`] with instrumentation: emits the zone
-/// walker's `zones.*` counters (zone states, explicit mirror states, DBM
-/// guard-zone closures, worst-close memo hits) and — because an enabled
-/// recorder switches the walk into its timed mode — the per-closure
-/// `zones.dbm_close_us` histogram, so `session-cli stats` can render the
-/// symbolic engine in the unified snapshot.
-pub fn analyze_space_symbolic_recorded(
-    name: &str,
-    built: &TargetSpace,
-    recorder: &mut dyn session_obs::Recorder,
-) -> Report {
-    let mut scope = built.scope.clone();
-    scope.max_depth = symbolic_depth(name, &built.scope);
-    let table1 = table1_bound(name, &scope, &built.bounds);
-    let timed = recorder.is_enabled();
-    let analysis =
-        crate::zones::analyze_symbolic_timed(&built.roots, &scope, &built.bounds, table1, timed);
-    if recorder.is_enabled() {
-        recorder.counter("zones.zone_states", analysis.zone_states);
-        recorder.counter("zones.explicit_states", analysis.explicit_states);
-        recorder.counter("zones.dbm_closures", analysis.dbm_closures);
-        recorder.counter(
-            "zones.worst_close_memo_hits",
-            analysis.worst_close_memo_hits,
-        );
-        recorder.merge_histogram("zones.dbm_close_us", &analysis.dbm_close);
-    }
-    let mut report = Report::default();
-    report.targets.push(TargetSummary {
-        name: format!("{name} (symbolic)"),
-        states: analysis.zone_states,
-        pruned: 0,
-        memo_hits: analysis.worst_close_memo_hits,
-        truncated: analysis.truncated,
-        depth_hits: analysis.depth_hits,
-    });
-    let scope_desc = format!("{} engine=symbolic", scope.describe());
-    for (code, message) in &analysis.findings {
-        report.findings.push(Diagnostic {
-            code: *code,
-            target: name.to_string(),
-            message: message.clone(),
-            scope: scope_desc.clone(),
-            repro: String::new(),
-            counterexample: String::new(),
-        });
-    }
-    report
-}
-
-/// Analyzes one named target with the symbolic engine only: walks the
-/// zone graph at the registry's default dimensions and reports `SA010`
-/// (dead timing branches), `SA011` (symbolic worst-case session-close
-/// time beyond the Table 1 bound) and `SA012` (explicit/symbolic
-/// reachability divergence). `None` for an unknown target name.
-pub fn analyze_target_symbolic(name: &str) -> Option<Report> {
-    let built = target_space(name)?;
-    Some(analyze_space_symbolic(name, &built))
-}
-
-/// [`analyze_target_symbolic`] with instrumentation (see
-/// [`analyze_space_symbolic_recorded`]).
-pub fn analyze_target_symbolic_recorded(
-    name: &str,
-    recorder: &mut dyn session_obs::Recorder,
-) -> Option<Report> {
-    let built = target_space(name)?;
-    Some(analyze_space_symbolic_recorded(name, &built, recorder))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -907,7 +822,11 @@ mod tests {
 
     #[test]
     fn sync_sm_is_clean() {
-        let report = analyze_target("SyncSm").expect("known name");
+        let (report, _) = target_space("SyncSm").expect("known name").analyze(
+            ExploreOpts::default(),
+            &mut session_obs::NullRecorder,
+            &FlightOpts::default(),
+        );
         assert!(report.findings.is_empty(), "{:#?}", report.findings);
         assert!(report.targets[0].states > 0, "must have explored states");
     }

@@ -213,33 +213,6 @@ pub struct ExplicitReach {
     pub controls: FxHashSet<u64>,
 }
 
-/// The complete symbolic analysis of one target: dead-branch scan, zone
-/// walk, bound comparison and explicit cross-check.
-#[derive(Debug)]
-pub struct SymbolicAnalysis {
-    /// All findings (SA010, SA011, SA012 and the discrete codes the zone
-    /// walk re-derives), in code order.
-    pub findings: Vec<(LintCode, String)>,
-    /// Zone-graph nodes expanded.
-    pub zone_states: u64,
-    /// Explicit states the mirror walk expanded.
-    pub explicit_states: u64,
-    /// Whether either walk was cut at the depth budget (SA011 within-bound
-    /// verdicts and SA012 are then skipped as incomparable).
-    pub truncated: bool,
-    /// See [`ZoneWalk::depth_hits`].
-    pub depth_hits: u64,
-    /// Worst-case session-close time: numeric value and rendered symbolic
-    /// expression.
-    pub worst_close: Option<(Dur, String)>,
-    /// See [`ZoneWalk::dbm_closures`].
-    pub dbm_closures: u64,
-    /// See [`ZoneWalk::worst_close_memo_hits`].
-    pub worst_close_memo_hits: u64,
-    /// See [`ZoneWalk::dbm_close`].
-    pub dbm_close: Histogram,
-}
-
 fn window_str(lo: Option<Dur>, hi: Option<Dur>) -> String {
     let lo = lo.map_or("0".to_string(), |v| v.to_string());
     match hi {
@@ -632,6 +605,25 @@ pub fn zone_walk_timed(
     }
 }
 
+/// The `SA011` detector on its own: a finding exactly when the zone
+/// walk's worst-case session-close time exceeds the target's Table 1
+/// bound. No bound (the model does not bound close time at this scope) or
+/// no worst close (no path closed a session) is no finding.
+pub fn bound_finding(
+    worst_close: Option<(Dur, SymExpr)>,
+    table1: Option<(Dur, String)>,
+) -> Option<(LintCode, String)> {
+    let ((val, sym), (bound_val, bound_desc)) = (worst_close?, table1?);
+    (val > bound_val).then(|| {
+        (
+            LintCode::SymbolicBoundExceeded,
+            format!(
+                "worst-case session-close time {sym} = {val} exceeds the Table 1 bound {bound_desc} = {bound_val}"
+            ),
+        )
+    })
+}
+
 /// The `SA012` detector on its own: the zone walker explores the convex
 /// hull of the menus — a superset of the explicit schedules (so it must
 /// reach every explicit control state) but still a subset of the model
@@ -655,63 +647,6 @@ pub fn coverage_finding(
             zone_controls.len()
         ),
     ))
-}
-
-/// Runs the full symbolic pipeline for one target: SA010 dead-branch
-/// scan, the zone walk (which re-derives the discrete codes), the SA011
-/// comparison against the target's Table 1 bound (when the model bounds
-/// session-close time at all), and the SA012 explicit/symbolic
-/// cross-check.
-pub fn analyze_symbolic(
-    roots: &[AnyMachine],
-    scope: &Scope,
-    bounds: &KnownBounds,
-    table1: Option<(Dur, String)>,
-) -> SymbolicAnalysis {
-    analyze_symbolic_timed(roots, scope, bounds, table1, false)
-}
-
-/// [`analyze_symbolic`] with per-guard-zone DBM timing toggled by `timed`
-/// (see [`zone_walk_timed`]).
-pub fn analyze_symbolic_timed(
-    roots: &[AnyMachine],
-    scope: &Scope,
-    bounds: &KnownBounds,
-    table1: Option<(Dur, String)>,
-    timed: bool,
-) -> SymbolicAnalysis {
-    let mut findings = dead_branch_findings(scope, bounds);
-    let walk = zone_walk_timed(roots, scope, bounds, timed);
-    findings.extend(walk.findings.iter().cloned());
-
-    if let (Some((bound_val, bound_desc)), Some((val, sym))) = (&table1, &walk.worst_close) {
-        if val > bound_val {
-            findings.push((
-                LintCode::SymbolicBoundExceeded,
-                format!(
-                    "worst-case session-close time {sym} = {val} exceeds the Table 1 bound {bound_desc} = {bound_val}"
-                ),
-            ));
-        }
-    }
-
-    let explicit = explicit_control_reach(roots, scope);
-    if !walk.truncated && !explicit.truncated {
-        findings.extend(coverage_finding(&walk.controls, &explicit.controls));
-    }
-
-    findings.sort_by_key(|(code, _)| *code);
-    SymbolicAnalysis {
-        findings,
-        zone_states: walk.zone_states,
-        explicit_states: explicit.states,
-        truncated: walk.truncated || explicit.truncated,
-        depth_hits: walk.depth_hits,
-        worst_close: walk.worst_close.map(|(v, sym)| (v, sym.to_string())),
-        dbm_closures: walk.dbm_closures,
-        worst_close_memo_hits: walk.worst_close_memo_hits,
-        dbm_close: walk.dbm_close,
-    }
 }
 
 #[cfg(test)]

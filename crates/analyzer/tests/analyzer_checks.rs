@@ -3,7 +3,20 @@
 //! flagged with the lint code matching its lower-bound violation, and the
 //! checker's machines agree with the real engines on random schedules.
 
-use session_analyzer::{analyze_target, LintCode, TARGET_NAMES};
+use session_analyzer::{target_space, ExploreOpts, FlightOpts, LintCode, Report, TARGET_NAMES};
+use session_obs::NullRecorder;
+
+/// The explicit pipeline over the named target at its registry scope.
+fn explicit_report(name: &str) -> Report {
+    let space = target_space(name).expect("known target");
+    space
+        .analyze(
+            ExploreOpts::default(),
+            &mut NullRecorder,
+            &FlightOpts::default(),
+        )
+        .0
+}
 
 /// The nine cheap correct targets; `SporadicMp` explores ~170k states and
 /// gets its own `#[ignore]`d test below so debug-profile `cargo test`
@@ -21,7 +34,7 @@ const FAST_CORRECT_TARGETS: [&str; 9] = [
 ];
 
 fn assert_clean(name: &str) {
-    let report = analyze_target(name).expect("known target");
+    let report = explicit_report(name);
     assert!(
         report.findings.is_empty(),
         "{name} must be clean, found: {:#?}",
@@ -56,7 +69,7 @@ fn sporadic_mp_is_clean() {
 }
 
 fn codes(name: &str) -> Vec<LintCode> {
-    let report = analyze_target(name).expect("known target");
+    let report = explicit_report(name);
     assert!(
         !report.findings.is_empty(),
         "{name} must be flagged, explored {} states clean",
@@ -105,7 +118,7 @@ fn naive_sporadic_mp_is_flagged_with_stale_evidence() {
 /// Counterexamples are rendered as timelines.
 #[test]
 fn naive_findings_carry_rendered_counterexamples() {
-    let report = analyze_target("NaivePeriodicSm").expect("known target");
+    let report = explicit_report("NaivePeriodicSm");
     let finding = report
         .findings
         .iter()
@@ -121,5 +134,5 @@ fn naive_findings_carry_rendered_counterexamples() {
 #[test]
 fn target_registry_is_exact() {
     assert_eq!(TARGET_NAMES.len(), 13);
-    assert!(analyze_target("NoSuchTarget").is_none());
+    assert!(target_space("NoSuchTarget").is_none());
 }

@@ -16,19 +16,32 @@
 //! public entry points for `SA010`–`SA012`.
 
 use session_analyzer::diag::ALL_CODES;
-use session_analyzer::explore::{check_step, explore, AnyMachine, SessionCounter};
+use session_analyzer::explore::{check_step, explore_with_opts, AnyMachine, SessionCounter};
 use session_analyzer::machine::{GapMode, MpAlgo, MpMachine, SmAlgo, SmMachine, StepInfo};
-use session_analyzer::zones::{analyze_symbolic, coverage_finding, dead_branch_findings};
+use session_analyzer::zones::{bound_finding, coverage_finding, dead_branch_findings, zone_walk};
 use session_analyzer::{
-    analyze_target, analyze_target_symbolic, check_timing, hb::analyze_trace_jsonl, target_space,
-    LintCode, Report, Scope, TimingParams,
+    check_timing, hb::analyze_trace_jsonl, target_space, ExploreOpts, FlightOpts, LintCode, Report,
+    Scope, TimingParams,
 };
 use session_core::algorithms::{SporadicMpPort, SyncSmPort};
+use session_obs::NullRecorder;
 use session_smm::RelayProcess;
 use session_types::{Dur, KnownBounds, ProcessId, Time, TimingModel, VarId};
 
 fn d(v: i128) -> Dur {
     Dur::from_int(v)
+}
+
+/// The explicit pipeline over the named registry target.
+fn explicit_report(name: &str) -> Report {
+    let space = target_space(name).expect("registry target");
+    space
+        .analyze(
+            ExploreOpts::default(),
+            &mut NullRecorder,
+            &FlightOpts::default(),
+        )
+        .0
 }
 
 fn report_codes(report: &Report) -> Vec<&'static str> {
@@ -42,13 +55,13 @@ fn report_codes(report: &Report) -> Vec<&'static str> {
 
 #[test]
 fn sa001_positive_naive_witness_reaches_quiescence_short() {
-    let report = analyze_target("NaivePeriodicSm").expect("registry target");
+    let report = explicit_report("NaivePeriodicSm");
     assert_eq!(report_codes(&report), ["SA001"]);
 }
 
 #[test]
 fn sa001_negative_periodic_algorithm_delivers_every_session() {
-    let report = analyze_target("PeriodicSm").expect("registry target");
+    let report = explicit_report("PeriodicSm");
     assert_eq!(report_codes(&report), Vec::<&str>::new());
 }
 
@@ -73,7 +86,13 @@ fn shared_variable_machine(b: usize) -> AnyMachine {
 
 #[test]
 fn sa002_positive_second_accessor_breaks_the_b_bound() {
-    let exploration = explore(&[shared_variable_machine(1)], 2, 1, 12);
+    let exploration = explore_with_opts(
+        &[shared_variable_machine(1)],
+        2,
+        1,
+        12,
+        ExploreOpts::default(),
+    );
     assert!(
         exploration
             .violations
@@ -86,7 +105,13 @@ fn sa002_positive_second_accessor_breaks_the_b_bound() {
 
 #[test]
 fn sa002_negative_fan_in_within_b_is_clean() {
-    let exploration = explore(&[shared_variable_machine(2)], 2, 1, 12);
+    let exploration = explore_with_opts(
+        &[shared_variable_machine(2)],
+        2,
+        1,
+        12,
+        ExploreOpts::default(),
+    );
     assert!(
         !exploration
             .violations
@@ -130,7 +155,7 @@ fn sporadic_roots(verbatim: bool) -> Vec<AnyMachine> {
 
 #[test]
 fn sa003_positive_paper_verbatim_sporadic_claims_stale_sessions() {
-    let exploration = explore(&sporadic_roots(true), 3, 3, 96);
+    let exploration = explore_with_opts(&sporadic_roots(true), 3, 3, 96, ExploreOpts::default());
     assert!(
         exploration
             .violations
@@ -143,7 +168,7 @@ fn sa003_positive_paper_verbatim_sporadic_claims_stale_sessions() {
 
 #[test]
 fn sa003_negative_corrected_sporadic_never_overclaims() {
-    let exploration = explore(&sporadic_roots(false), 3, 3, 96);
+    let exploration = explore_with_opts(&sporadic_roots(false), 3, 3, 96, ExploreOpts::default());
     assert!(
         exploration.violations.is_empty(),
         "{:?}",
@@ -204,7 +229,7 @@ fn relay_loop_machine() -> AnyMachine {
 
 #[test]
 fn sa005_positive_never_idle_relay_loops_without_quiescing() {
-    let exploration = explore(&[relay_loop_machine()], 1, 1, 12);
+    let exploration = explore_with_opts(&[relay_loop_machine()], 1, 1, 12, ExploreOpts::default());
     assert!(
         exploration
             .violations
@@ -217,7 +242,7 @@ fn sa005_positive_never_idle_relay_loops_without_quiescing() {
 
 #[test]
 fn sa005_negative_terminating_algorithm_has_no_lasso() {
-    let report = analyze_target("SyncSm").expect("registry target");
+    let report = explicit_report("SyncSm");
     assert!(
         !report_codes(&report).contains(&"SA005"),
         "{:?}",
@@ -394,14 +419,11 @@ fn sa010_negative_in_window_menus_are_alive() {
     assert!(dead_branch_findings(&scope, &bounds).is_empty());
     // And the registry's own scopes stay alive end to end.
     let space = target_space("SemiSyncSm").expect("registry target");
-    let analysis = analyze_symbolic(&space.roots, &space.scope, &space.bounds, None);
+    let report = space.analyze_symbolic(&mut NullRecorder);
     assert!(
-        !analysis
-            .findings
-            .iter()
-            .any(|(code, _)| *code == LintCode::DeadTimingBranch),
+        !report_codes(&report).contains(&"SA010"),
         "{:?}",
-        analysis.findings
+        report.findings
     );
 }
 
@@ -411,23 +433,17 @@ fn sa010_negative_in_window_menus_are_alive() {
 fn sa011_positive_worst_close_over_a_tight_bound() {
     // A(syn)'s true worst close is c2·s = 3; demand 1 and it must fire.
     let space = target_space("SyncMp").expect("registry target");
-    let analysis = analyze_symbolic(
-        &space.roots,
-        &space.scope,
-        &space.bounds,
-        Some((d(1), "1".to_owned())),
-    );
-    let sa011 = analysis
-        .findings
-        .iter()
-        .find(|(code, _)| *code == LintCode::SymbolicBoundExceeded);
-    let (_, message) = sa011.expect("bound of 1 must be exceeded");
+    let walk = zone_walk(&space.roots, &space.scope, &space.bounds);
+    let (code, message) = bound_finding(walk.worst_close, Some((d(1), "1".to_owned())))
+        .expect("bound of 1 must be exceeded");
+    assert_eq!(code, LintCode::SymbolicBoundExceeded);
     assert!(message.contains("Table 1 bound"), "{message}");
 }
 
 #[test]
 fn sa011_negative_table1_bound_is_met() {
-    let report = analyze_target_symbolic("SyncMp").expect("registry target");
+    let space = target_space("SyncMp").expect("registry target");
+    let report = space.analyze_symbolic(&mut NullRecorder);
     assert_eq!(report_codes(&report), Vec::<&str>::new());
 }
 

@@ -14,9 +14,9 @@
 //! collecting stale evidence and then its own fresh broadcast) while the
 //! other two stall real sessions for longer than the whole cheat takes.
 
-use session_analyzer::explore::{explore, AnyMachine};
+use session_analyzer::explore::{explore_with_opts, AnyMachine};
 use session_analyzer::machine::{GapMode, MpAlgo, MpMachine};
-use session_analyzer::LintCode;
+use session_analyzer::{ExploreOpts, LintCode};
 use session_core::algorithms::SporadicMpPort;
 use session_types::{Dur, ProcessId, Time};
 
@@ -78,7 +78,7 @@ fn verbatim(i: usize) -> SporadicMpPort {
 
 #[test]
 fn paper_verbatim_sporadic_mp_certifies_stale_sessions() {
-    let exploration = explore(&roots(verbatim), N, S, MAX_DEPTH);
+    let exploration = explore_with_opts(&roots(verbatim), N, S, MAX_DEPTH, ExploreOpts::default());
     let codes: Vec<LintCode> = exploration.violations.iter().map(|v| v.code).collect();
     assert!(
         codes.contains(&LintCode::StaleEvidence),
@@ -90,7 +90,7 @@ fn paper_verbatim_sporadic_mp_certifies_stale_sessions() {
 
 #[test]
 fn corrected_sporadic_mp_is_clean_at_the_same_scope() {
-    let exploration = explore(&roots(corrected), N, S, MAX_DEPTH);
+    let exploration = explore_with_opts(&roots(corrected), N, S, MAX_DEPTH, ExploreOpts::default());
     assert!(
         exploration.violations.is_empty(),
         "the corrected algorithm must explore clean at the erratum's scope, found: {:?}",

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use session_analyzer::explore::explore_with_opts;
 use session_analyzer::{
-    analyze_target_with, scoped_target_space, ExploreOpts, Report, TARGET_NAMES,
+    scoped_target_space, target_space, ExploreOpts, FlightOpts, Report, TargetSpace, TARGET_NAMES,
 };
 use session_obs::NullRecorder;
 
@@ -78,6 +78,13 @@ fn combos() -> Vec<(String, ExploreOpts)> {
     combos
 }
 
+/// The explicit pipeline over `space` under `opts`.
+fn analyze(space: &TargetSpace, opts: ExploreOpts) -> Report {
+    space
+        .analyze(opts, &mut NullRecorder, &FlightOpts::default())
+        .0
+}
+
 /// The verdict as a sorted multiset-collapsed list of `(target, code)`
 /// pairs. Reductions may discover a violation along a different
 /// representative interleaving, so paths and messages are not compared —
@@ -96,8 +103,8 @@ fn verdict(report: &Report) -> Vec<(String, String)> {
 /// Asserts every reduction combination matches the unreduced verdict on
 /// `name`, and returns `(full states, reduced states)` for ratio checks.
 fn assert_equivalent(name: &str) -> (u64, u64) {
-    let baseline = analyze_target_with(name, ExploreOpts::default(), &mut NullRecorder)
-        .unwrap_or_else(|| panic!("{name} is registered"));
+    let space = target_space(name).unwrap_or_else(|| panic!("{name} is registered"));
+    let baseline = analyze(&space, ExploreOpts::default());
     let expected = verdict(&baseline);
     assert!(
         !baseline
@@ -108,7 +115,7 @@ fn assert_equivalent(name: &str) -> (u64, u64) {
     );
     let mut reduced_states = baseline.targets[0].states;
     for (label, opts) in combos() {
-        let report = analyze_target_with(name, opts, &mut NullRecorder).expect("same registry");
+        let report = analyze(&space, opts);
         assert_eq!(
             verdict(&report),
             expected,
@@ -154,8 +161,8 @@ fn slow_targets_keep_their_verdicts_under_every_reduction() {
 fn reductions_prune_at_least_3x_on_a_paper_target_at_n3_s3() {
     let name = "PeriodicMp";
     let space = scoped_target_space(name, 3, 3).expect("paper target is registered");
-    let full = space.analyze(name, ExploreOpts::default());
-    let reduced = space.analyze(name, ExploreOpts::reduced());
+    let full = analyze(&space, ExploreOpts::default());
+    let reduced = analyze(&space, ExploreOpts::reduced());
     assert_eq!(
         verdict(&full),
         verdict(&reduced),

@@ -13,9 +13,8 @@
 //! release with `--include-ignored` (the CI `symbolic-diff` job).
 
 use session_analyzer::zones::{explicit_control_reach, zone_walk};
-use session_analyzer::{
-    analyze_space_symbolic, scoped_target_space, symbolic_depth, Report, TARGET_NAMES,
-};
+use session_analyzer::{scoped_target_space, Report, TARGET_NAMES};
+use session_obs::NullRecorder;
 
 /// Targets cheap enough to walk symbolically in a debug build.
 const FAST_TARGETS: [&str; 11] = [
@@ -118,7 +117,7 @@ fn codes(report: &Report) -> Vec<String> {
 /// exact counts, control sets and worst close.
 fn diff_scoped(name: &str, n: usize, s: u64, want: &Pinned) {
     let space = scoped_target_space(name, n, s).expect("registry target");
-    let report = analyze_space_symbolic(name, &space);
+    let report = space.analyze_symbolic(&mut NullRecorder);
     let codes = codes(&report);
     assert!(
         !codes.iter().any(|c| c == "SA012"),
@@ -128,8 +127,7 @@ fn diff_scoped(name: &str, n: usize, s: u64, want: &Pinned) {
         codes, want.codes,
         "{name} (n={n}, s={s}): symbolic verdict diverged from the registry expectation"
     );
-    let mut scope = space.scope.clone();
-    scope.max_depth = symbolic_depth(name, &space.scope);
+    let scope = space.symbolic_scope();
     let walk = zone_walk(&space.roots, &scope, &space.bounds);
     let reach = explicit_control_reach(&space.roots, &scope);
     // The report's summary row carries the zone walk's own counters.

@@ -27,7 +27,7 @@
 use std::time::Instant;
 
 use session_analyzer::zones::{explicit_control_reach, zone_walk};
-use session_analyzer::{periodic_mp_space_with_delays, symbolic_depth, target_space, TARGET_NAMES};
+use session_analyzer::{periodic_mp_space_with_delays, target_space, TARGET_NAMES};
 use session_bench::json_report::json_flag;
 use session_obs::json::JsonWriter;
 use session_types::{Dur, Ratio};
@@ -62,11 +62,10 @@ struct SizeRow {
     truncated: bool,
 }
 
-/// Walks one space with both engines at the same depth budget and
-/// tabulates the sizes.
-fn measure(label: String, space: &session_analyzer::TargetSpace, depth: usize) -> SizeRow {
-    let mut scope = space.scope.clone();
-    scope.max_depth = depth;
+/// Walks one space with both engines at its symbolic scope (the same
+/// depth budget for both) and tabulates the sizes.
+fn measure(label: String, space: &session_analyzer::TargetSpace) -> SizeRow {
+    let scope = space.symbolic_scope();
     let start = Instant::now();
     let walk = zone_walk(&space.roots, &scope, &space.bounds);
     let zone_secs = start.elapsed().as_secs_f64();
@@ -83,7 +82,7 @@ fn measure(label: String, space: &session_analyzer::TargetSpace, depth: usize) -
     let ratio = reach.states as f64 / walk.zone_states.max(1) as f64;
     SizeRow {
         label,
-        depth,
+        depth: scope.max_depth,
         zone_states: walk.zone_states,
         zone_secs,
         explicit_states: reach.states,
@@ -181,8 +180,7 @@ fn main() {
     let mut targets = Vec::new();
     for name in TARGET_NAMES {
         let space = target_space(name).expect("registry target");
-        let depth = symbolic_depth(name, &space.scope);
-        let row = measure(name.to_owned(), &space, depth);
+        let row = measure(name.to_owned(), &space);
         print_row(&row);
         targets.push(row);
     }
@@ -196,7 +194,7 @@ fn main() {
     for &k in &REFINEMENTS {
         let space = refined_space(k);
         let samples = u64::try_from(k).expect("small k") + 1;
-        let row = measure(format!("{samples} samples"), &space, space.scope.max_depth);
+        let row = measure(format!("{samples} samples"), &space);
         print_row(&row);
         headline.push((samples, row));
     }

@@ -28,7 +28,7 @@ pub const SCHEMA_SECTIONS: &str = "session-bench/sections/v1";
 ///
 /// Returns `None` when the flag is absent; `Some(default_path)` for a bare
 /// `--json`; `Some(path)` when a path follows the flag. All other
-/// arguments are ignored (the benchmark binaries take none).
+/// arguments are ignored (`sweeps` reads its subcommand name first).
 pub fn json_flag<I, S>(args: I, default_path: &str) -> Option<PathBuf>
 where
     I: IntoIterator<Item = S>,

@@ -8,9 +8,11 @@
 //! * [`sweeps`] — the derived figures: the semi-synchronous strategy
 //!   crossover (FIG-A), the sporadic `d1 → d2` interpolation (FIG-B) and
 //!   the periodic-vs-semi-synchronous dominance comparison (FIG-C).
-//! * [`format`](mod@format) — markdown rendering shared by the `table1`, `crossover`,
-//!   `sporadic_sweep` and `periodic_vs_semisync` binaries (whose outputs
-//!   are recorded in `EXPERIMENTS.md`).
+//! * [`format`](mod@format) — markdown rendering shared by the `table1`
+//!   and `sweeps` binaries (`sweeps <name>` runs one derived sweep:
+//!   `crossover`, `sporadic_sweep`, `periodic_vs_semisync`,
+//!   `contamination_growth` or `diameter_sweep`); their outputs are
+//!   recorded in `EXPERIMENTS.md`.
 //! * [`json_report`] — the `--json` mode of every binary: the generic
 //!   section-table serializer plus the rich `BENCH_table1.json` schema
 //!   (numeric bounds, ratios, wall-clock, engine counters).

@@ -45,7 +45,7 @@ pub struct RealConfig {
     /// Watchdog: wall-clock deadline for the whole run.
     pub deadline: Duration,
     /// Optional per-process sporadic gap scripts (from
-    /// [`session_rt::sporadic_gap_script`]); only meaningful for the
+    /// [`session_rt::bridge::sporadic_gap_script`]); only meaningful for the
     /// sporadic model.
     pub sporadic_gaps: Option<BTreeMap<ProcessId, Vec<Dur>>>,
 }

@@ -22,19 +22,19 @@ trap 'rm -rf "$stage"' EXIT
 
 run_step() {
     current_step="$1"
-    local bin="$2"
-    local artifact="$3"
+    local artifact="$2"
+    shift 2
     echo "== $current_step =="
-    cargo run -q -p session-bench --bin "$bin" | tee "$stage/$artifact"
+    cargo run -q -p session-bench --bin "$@" | tee "$stage/$artifact"
 }
 
-run_step "Table 1"                                  table1                 table1.md
-run_step "FIG-A: semi-synchronous crossover"        crossover              crossover.md
-run_step "FIG-B: sporadic interpolation"            sporadic_sweep         sporadic_sweep.md
-run_step "FIG-C: periodic vs semi-synchronous"      periodic_vs_semisync   periodic_vs_semisync.md
-run_step "Lemma 4.4: contamination growth"          contamination_growth   contamination_growth.md
-run_step "EXT-DIAM: point-to-point diameter factor" diameter_sweep         diameter_sweep.md
-run_step "REAL: real-clock runs vs upper bounds"    realclock              realclock.md
+run_step "Table 1"                                  table1.md               table1
+run_step "FIG-A: semi-synchronous crossover"        crossover.md            sweeps -- crossover
+run_step "FIG-B: sporadic interpolation"            sporadic_sweep.md       sweeps -- sporadic_sweep
+run_step "FIG-C: periodic vs semi-synchronous"      periodic_vs_semisync.md sweeps -- periodic_vs_semisync
+run_step "Lemma 4.4: contamination growth"          contamination_growth.md sweeps -- contamination_growth
+run_step "EXT-DIAM: point-to-point diameter factor" diameter_sweep.md       sweeps -- diameter_sweep
+run_step "REAL: real-clock runs vs upper bounds"    realclock.md            realclock
 
 current_step="moving artifacts into place"
 mkdir -p "$out"

@@ -4,6 +4,9 @@
 #
 #   1. rustfmt          -- formatting is canonical
 #   2. clippy           -- the workspace lint policy, warnings are errors
+#   2b. rustdoc         -- no broken intra-doc links (a removed or renamed
+#      item must not leave a stale [`link`] behind); the vendored stubs
+#      are excluded, their own docs are not this workspace's to fix
 #   3-5. session-wslint -- the workspace's own static analyzer
 #      (crates/wslint, DESIGN.md §17): WS001 wall-clock discipline,
 #      WS002 unbounded channels, WS003 lock-order cycles, WS004
@@ -45,6 +48,12 @@ cargo fmt --all -- --check
 current_step="clippy"
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+current_step="rustdoc (broken intra-doc links)"
+echo "== rustdoc: intra-doc links must resolve =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --document-private-items \
+    --workspace --exclude criterion --exclude loom --exclude proptest --exclude rand \
+    --exclude rustc-hash
 
 current_step="session-wslint (workspace disciplines + registry gates)"
 echo "== session-wslint: WS001-WS007 over the workspace sources =="

@@ -33,11 +33,10 @@ use std::time::Duration;
 
 use session_analyzer::diag::ALL_CODES;
 use session_analyzer::{
-    analyze_scoped_target_flight, analyze_target_flight, analyze_target_symbolic,
-    analyze_trace_jsonl, target_names, target_space, ExploreOpts, FlightOpts, LintCode, LintConfig,
-    Report, Severity,
+    analyze_trace_jsonl, scoped_target_space, target_names, target_space, ExploreOpts, FlightOpts,
+    LintCode, LintConfig, Report, Severity,
 };
-use session_obs::ProgressBoard;
+use session_obs::{NullRecorder, ProgressBoard};
 use session_types::{Error, Result, TimingModel};
 
 /// Output format for the report.
@@ -344,31 +343,22 @@ targets: the ten paper algorithms (clean) and three naive witnesses
         let mut report = Report::default();
         let mut profile_doc = None;
         for name in &self.targets {
-            let (target, profile) = match (self.n, self.s) {
-                (None, None) => {
-                    analyze_target_flight(name, self.opts, &mut session_obs::NullRecorder, &flight)
-                }
-                (n, s) => {
-                    let default = target_space(name)
-                        .expect("parse validated the target names") // wslint: allow(ws004): target names are validated at parse time
-                        .scope;
-                    analyze_scoped_target_flight(
-                        name,
-                        n.unwrap_or(default.n),
-                        s.unwrap_or(default.s),
-                        self.opts,
-                        &mut session_obs::NullRecorder,
-                        &flight,
-                    )
-                }
+            let expect = "parse validated the target names";
+            let mut space = target_space(name).expect(expect); // wslint: allow(ws004): target names are validated at parse time
+            if self.n.is_some() || self.s.is_some() {
+                let (n, s) = (
+                    self.n.unwrap_or(space.scope.n),
+                    self.s.unwrap_or(space.scope.s),
+                );
+                space = scoped_target_space(name, n, s).expect(expect); // wslint: allow(ws004): target names are validated at parse time
             }
-            .expect("parse validated the target names"); // wslint: allow(ws004): target names are validated at parse time
+            // Both engines analyze the one built space, so `n=`/`s=`
+            // reach the symbolic row too.
+            let (target, profile) = space.analyze(self.opts, &mut NullRecorder, &flight);
             report.merge(target);
             profile_doc = profile_doc.or(profile);
             if self.symbolic {
-                let symbolic =
-                    analyze_target_symbolic(name).expect("parse validated the target names"); // wslint: allow(ws004): target names are validated at parse time
-                report.merge(symbolic);
+                report.merge(space.analyze_symbolic(&mut NullRecorder));
             }
         }
         if let Some(board) = &board {

@@ -109,7 +109,7 @@ subcommands (own usage via `session-cli SUBCOMMAND --help`):
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParams`] (carrying a usage hint) on any
+    /// Returns [`session_types::Error::InvalidParams`] (carrying a usage hint) on any
     /// unknown key, malformed value, or inconsistent combination.
     pub fn parse<I, S>(args: I) -> Result<CliConfig>
     where

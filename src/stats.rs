@@ -19,9 +19,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use session_analyzer::{
-    analyze_target_flight, analyze_target_symbolic_recorded, target_names, ExploreOpts, FlightOpts,
-};
+use session_analyzer::{target_names, target_space, ExploreOpts, FlightOpts};
 use session_core::analysis::analyze;
 use session_core::system::port_of;
 use session_obs::InMemoryRecorder;
@@ -192,16 +190,14 @@ n=, schedule=, delay=, seed=, max-steps=, ...).";
     /// counters and DBM closure timing) over `target`, and renders both
     /// engines' metrics as one unified snapshot.
     fn render_target(&self, target: &str) -> (String, String) {
-        let expect = "parse validated the target name";
+        let space = target_space(target).expect("parse validated the target name"); // wslint: allow(ws004): target names are validated at parse time
         let mut recorder = InMemoryRecorder::new();
         let opts = ExploreOpts {
             threads: self.threads,
             ..ExploreOpts::default()
         };
-        let (report, _profile) =
-            analyze_target_flight(target, opts, &mut recorder, &FlightOpts::profiled())
-                .expect(expect); // wslint: allow(ws004): target names are validated at parse time
-        let symbolic = analyze_target_symbolic_recorded(target, &mut recorder).expect(expect); // wslint: allow(ws004): target names are validated at parse time
+        let (report, _profile) = space.analyze(opts, &mut recorder, &FlightOpts::profiled());
+        let symbolic = space.analyze_symbolic(&mut recorder);
         let snapshot = recorder.into_snapshot();
 
         let mut out = String::new();

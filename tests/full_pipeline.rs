@@ -234,6 +234,54 @@ fn analyze_cli_rejects_symbolic_with_trace_and_runs_symbolic_end_to_end() {
     assert!(out.contains("SA001"), "{out}");
 }
 
+#[test]
+fn analyze_cli_symbolic_runs_at_the_requested_scope() {
+    use session_analyzer::{scoped_target_space, LintConfig};
+    use session_problem::analyze::AnalyzeConfig;
+    use session_problem::obs::NullRecorder;
+
+    // `n=`/`s=` rebuild the one space both engines analyze: the symbolic
+    // summary row of a scoped run is exactly the symbolic pipeline over
+    // the scoped space (SyncSm's registry default, n=4 s=3, walks 374
+    // zones; n=2 s=2 walks 13).
+    let (out, code) = AnalyzeConfig::parse(["SyncSm", "n=2", "s=2", "symbolic=on", "format=csv"])
+        .unwrap()
+        .execute()
+        .unwrap();
+    assert_eq!(code, 0, "{out}");
+    let space = scoped_target_space("SyncSm", 2, 2).expect("registry target");
+    let want = space
+        .analyze_symbolic(&mut NullRecorder)
+        .to_csv(&LintConfig::default());
+    let symbolic_row = |csv: &str| {
+        csv.lines()
+            .find(|line| line.starts_with("SyncSm (symbolic),"))
+            .map(str::to_owned)
+    };
+    assert!(symbolic_row(&want).is_some(), "{want}");
+    assert_eq!(symbolic_row(&out), symbolic_row(&want), "{out}");
+
+    // A witness at a non-default scope: every symbolic finding names the
+    // requested dimensions in its scope line.
+    let (out, code) =
+        AnalyzeConfig::parse(["NaivePeriodicSm", "n=2", "s=3", "symbolic=on", "format=csv"])
+            .unwrap()
+            .execute()
+            .unwrap();
+    assert_eq!(code, 1, "the witness must stay flagged:\n{out}");
+    let symbolic: Vec<&str> = out
+        .lines()
+        .filter(|line| line.contains("engine=symbolic"))
+        .collect();
+    assert!(!symbolic.is_empty(), "no symbolic finding:\n{out}");
+    for line in symbolic {
+        assert!(
+            line.contains(" n=2 s=3 "),
+            "symbolic scope is not the requested one: {line}"
+        );
+    }
+}
+
 /// The findings block of a csv report: everything from the
 /// `code,severity,...` header on. The summary block above it carries raw
 /// state/memo counters, which the parallel explorer does not promise to
