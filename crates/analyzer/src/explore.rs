@@ -40,13 +40,12 @@ use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 use rustc_hash::{FxHashSet, FxHasher};
-use session_obs::{NullRecorder, ProgressBoard, Recorder};
+use session_obs::{NullRecorder, Recorder};
 use session_types::Dur;
 
 use crate::diag::LintCode;
 use crate::machine::{GapMode, Menu, MpMachine, SmMachine, StepInfo};
-use crate::partition::PROGRESS_BATCH;
-use crate::profile::{ExploreProfile, FlightOpts, WorkerProfile};
+use crate::profile::{ExploreProfile, FlightOpts, ProgressBatch, WorkerProfile};
 use crate::scope::Scope;
 use crate::walk::{Counts, Edge, Expansion, Space, Walk};
 use crate::zones::ExplicitReach;
@@ -422,25 +421,19 @@ pub fn explore_flight(
         board.worker_busy();
     }
     let space = Explicit {
-        progress,
+        progress: ProgressBatch::new(progress),
         ..Explicit::new(s, opts, recorder)
     };
     let mut walk = walk_roots(space, roots, n, max_depth);
-    walk.space.flush_progress();
-    let memo_entries = walk.memo_len() as u64;
-    let (counts, violations) = (walk.counts, walk.space.violations);
+    walk.space.progress.flush();
     if let Some(board) = progress {
         board.worker_idle();
     }
+    let memo_entries = walk.memo_len() as u64;
+    let counts = walk.counts;
+    let (violations, phase_b_ns) = walk.space.witnesses.violations(roots, n, s);
     if recorder.is_enabled() {
-        recorder.counter("explore.memo_hits", counts.memo_hits);
-        recorder.counter("explore.memo_misses", counts.memo_misses);
-        recorder.counter("explore.pruned_choices", counts.pruned);
-        recorder.gauge("explore.states", counts.states as f64);
-        let elapsed = started.elapsed().as_secs_f64();
-        if elapsed > 0.0 {
-            recorder.gauge("explore.states_per_sec", counts.states as f64 / elapsed);
-        }
+        record_totals(recorder, &counts, started);
     }
     let profile = flight.profile.then(|| {
         let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -468,13 +461,28 @@ pub fn explore_flight(
             rounds: 1,
             fallback: false,
             wall_ns,
-            phase_a_ns: wall_ns,
+            phase_a_ns: wall_ns.saturating_sub(phase_b_ns),
             replay_ns: 0,
-            phase_b_ns: 0,
+            phase_b_ns,
             workers: vec![worker],
         }
     });
     (Exploration::new(counts, violations), profile)
+}
+
+/// Emits the `explore.*` totals both explorers report from their walk's
+/// `counts`: the memo and partial-order counters, `explore.states` and
+/// `explore.states_per_sec` over the time since `started`.
+#[allow(clippy::cast_precision_loss)]
+pub(crate) fn record_totals(recorder: &mut dyn Recorder, counts: &Counts, started: Instant) {
+    recorder.counter("explore.memo_hits", counts.memo_hits);
+    recorder.counter("explore.memo_misses", counts.memo_misses);
+    recorder.counter("explore.pruned_choices", counts.pruned);
+    recorder.gauge("explore.states", counts.states as f64);
+    let elapsed = started.elapsed().as_secs_f64();
+    if elapsed > 0.0 {
+        recorder.gauge("explore.states_per_sec", counts.states as f64 / elapsed);
+    }
 }
 
 /// The (machine × counter) memo key: the symmetry-canonical key when the
@@ -565,26 +573,83 @@ pub fn check_step(
     None
 }
 
-/// Re-derives the canonical (serial first-witness) violation paths for a
-/// known set of lint codes: runs the serial DFS in the exact order
-/// [`explore_flight`] uses, but stops as soon as every wanted code
-/// has a recorded witness. The parallel explorer uses this to report the
-/// same counterexamples the serial path would, independent of thread
-/// interleaving — and on clean targets (empty `codes`) it costs nothing.
-pub(crate) fn explore_witnesses(
-    roots: &[AnyMachine],
+/// The first witness of each lint code a walk found, in the order it
+/// found them: the code, the index of the witness's root in `roots` and
+/// the walk's path of choices from that root. The serial explorer and
+/// the parallel explorer's replay record into it at the same points of
+/// the same DFS, so both report the same witnesses.
+#[derive(Default)]
+pub(crate) struct Witnesses {
+    /// Index of the root the walk is under.
+    pub(crate) root: usize,
+    found: Vec<(LintCode, usize, Vec<usize>)>,
+}
+
+impl Witnesses {
+    /// Records `path` under the current root as `code`'s witness, unless
+    /// `code` already has one.
+    pub(crate) fn record(&mut self, code: LintCode, path: &[usize]) {
+        if self.found.iter().all(|(known, ..)| *known != code) {
+            self.found.push((code, self.root, path.to_vec()));
+        }
+    }
+
+    /// The violations the witnesses show, each message taken from a
+    /// [`rewalk`] of its path, and the wall time the re-walks took.
+    pub(crate) fn violations(
+        self,
+        roots: &[AnyMachine],
+        n: usize,
+        s: u64,
+    ) -> (Vec<FoundViolation>, u64) {
+        // wslint: allow(ws001): flight profiler measures real elapsed time by design
+        let started = Instant::now();
+        let violations = self
+            .found
+            .into_iter()
+            .map(|(code, root, path)| {
+                let (found, message, _) = rewalk(&roots[root], n, s, &path);
+                debug_assert_eq!(found, code, "re-walk of root {root} path {path:?}");
+                FoundViolation {
+                    code,
+                    message,
+                    path,
+                    root,
+                }
+            })
+            .collect();
+        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        (violations, nanos)
+    }
+}
+
+/// Re-walks a witness `path` from `root`, taking the steps
+/// [`make_child`] takes, and returns the finding it ends in — the code
+/// and message of the edge's [`check_step`] lint, of the quiescent
+/// leaf's [`session_deficit`] or of the [`LASSO`] its last edge closes —
+/// with the incremental session count along it.
+pub(crate) fn rewalk(
+    root: &AnyMachine,
     n: usize,
     s: u64,
-    max_depth: usize,
-    opts: ExploreOpts,
-    codes: &BTreeSet<LintCode>,
-) -> Vec<FoundViolation> {
-    let mut recorder = NullRecorder;
-    let space = Explicit {
-        early_stop: Some(codes.clone()),
-        ..Explicit::new(s, ExploreOpts { threads: 1, ..opts }, &mut recorder)
-    };
-    walk_roots(space, roots, n, max_depth).space.violations
+    path: &[usize],
+) -> (LintCode, String, u64) {
+    let mut machine = root.clone();
+    let mut counter = SessionCounter::new(n, s);
+    let mut menu = Menu::default();
+    for &choice in path {
+        machine.build_menu(&mut menu);
+        let info = machine.apply_menu(&menu, choice);
+        counter.observe(&info);
+        if let Some((code, message)) = check_step(&info, &machine, &counter) {
+            return (code, message, counter.sessions());
+        }
+    }
+    let sessions = counter.sessions();
+    match session_deficit(&counter, s) {
+        Some(message) if machine.is_quiescent() => (LintCode::SessionDeficit, message, sessions),
+        _ => (LintCode::NonTermination, LASSO.to_string(), sessions),
+    }
 }
 
 /// A state of the explicit walks. Steps the session counter does not see
@@ -598,7 +663,7 @@ struct Node<'a> {
 /// child state (with its advanced counter when the step was visible to
 /// the session counter).
 pub(crate) enum Child {
-    Pruned(LintCode, String),
+    Pruned(LintCode),
     Open(AnyMachine, Option<SessionCounter>),
 }
 
@@ -618,27 +683,20 @@ pub(crate) fn make_child(
     });
     let effective = next_counter.as_ref().unwrap_or(counter);
     match check_step(&info, &next, effective) {
-        Some((code, message)) => Child::Pruned(code, message),
+        Some((code, _)) => Child::Pruned(code),
         None => Child::Open(next, next_counter),
     }
 }
 
-/// The explicit state space, keyed by [`state_key`]: the serial explorer,
-/// the parallel explorer's witness re-derivation and, collecting control
-/// hashes, the explicit side of the `SA012` cross-check.
+/// The explicit state space, keyed by [`state_key`]: the serial explorer
+/// and, collecting control hashes, the explicit side of the `SA012`
+/// cross-check.
 struct Explicit<'r> {
     s: u64,
     opts: ExploreOpts,
-    /// First witness per lint code.
-    violations: Vec<FoundViolation>,
-    current_root: usize,
-    /// When set, the walk stops once every listed code has a witness.
-    early_stop: Option<BTreeSet<LintCode>>,
+    witnesses: Witnesses,
     recorder: &'r mut dyn Recorder,
-    /// Live-progress scoreboard, updated in [`PROGRESS_BATCH`] batches.
-    progress: Option<&'r ProgressBoard>,
-    batch_states: u64,
-    batch_depth: u64,
+    progress: ProgressBatch<'r>,
     /// One reused menu buffer per path depth.
     menus: Vec<Menu>,
     /// When set, collects the control hash of every expanded state.
@@ -650,46 +708,12 @@ impl<'r> Explicit<'r> {
         Explicit {
             s,
             opts,
-            violations: Vec::new(),
-            current_root: 0,
-            early_stop: None,
+            witnesses: Witnesses::default(),
             recorder,
-            progress: None,
-            batch_states: 0,
-            batch_depth: 0,
+            progress: ProgressBatch::new(None),
             menus: Vec::new(),
             controls: None,
         }
-    }
-
-    /// Whether early-stop mode has found everything it was asked for.
-    fn early_stop_satisfied(&self) -> bool {
-        self.early_stop.as_ref().is_some_and(|want| {
-            want.iter()
-                .all(|code| self.violations.iter().any(|v| v.code == *code))
-        })
-    }
-
-    fn record(&mut self, code: LintCode, message: String, path: &[usize]) {
-        if self.violations.iter().any(|v| v.code == code) {
-            return;
-        }
-        self.violations.push(FoundViolation {
-            code,
-            message,
-            path: path.to_vec(),
-            root: self.current_root,
-        });
-    }
-
-    /// Publishes the batched progress counters to the scoreboard.
-    fn flush_progress(&mut self) {
-        let Some(board) = self.progress else { return };
-        if self.batch_states > 0 {
-            board.add_states(self.batch_states);
-            self.batch_states = 0;
-        }
-        board.raise_depth(self.batch_depth);
     }
 }
 
@@ -698,14 +722,9 @@ impl Space for Explicit<'_> {
     type Summary = ();
 
     fn key(&mut self, node: &Node<'_>, path: &[usize]) -> Option<u64> {
-        // Witness re-derivation that has every code it wants unwinds as
-        // if at leaves: nothing it could still record is new.
-        if self.early_stop_satisfied() {
-            return None;
-        }
         if node.machine.is_quiescent() {
-            if let Some(message) = session_deficit(&node.counter, self.s) {
-                self.record(LintCode::SessionDeficit, message, path);
+            if node.counter.sessions() < self.s {
+                self.witnesses.record(LintCode::SessionDeficit, path);
             }
             return None;
         }
@@ -713,20 +732,14 @@ impl Space for Explicit<'_> {
     }
 
     fn lasso(&mut self, path: &[usize]) {
-        self.record(LintCode::NonTermination, LASSO.to_string(), path);
+        self.witnesses.record(LintCode::NonTermination, path);
     }
 
     fn expand(&mut self, node: &Node<'_>, path: &[usize]) -> Expansion {
         if let Some(controls) = &mut self.controls {
             controls.insert(node.machine.control_hash());
         }
-        if self.progress.is_some() {
-            self.batch_states += 1;
-            self.batch_depth = self.batch_depth.max(path.len() as u64);
-            if self.batch_states >= PROGRESS_BATCH {
-                self.flush_progress();
-            }
-        }
+        self.progress.tick(path.len());
         if self.recorder.is_enabled() {
             self.recorder
                 .observe("explore.frontier_depth", path.len() as f64);
@@ -759,8 +772,8 @@ impl Space for Explicit<'_> {
     ) -> Edge<Node<'b>, ()> {
         let menu = &self.menus[path.len() - 1];
         match make_child(&parent.machine, menu, &parent.counter, choice) {
-            Child::Pruned(code, message) => {
-                self.record(code, message, path);
+            Child::Pruned(code) => {
+                self.witnesses.record(code, path);
                 Edge::Pruned(())
             }
             Child::Open(machine, counter) => {
@@ -780,7 +793,7 @@ fn walk_roots<'r>(
 ) -> Walk<Explicit<'r>> {
     let mut walk = Walk::new(space, max_depth, 0);
     for (index, root) in roots.iter().enumerate() {
-        walk.space.current_root = index;
+        walk.space.witnesses.root = index;
         walk.space.recorder.span_start("explore.root");
         walk.visit(Node {
             machine: root.clone(),

@@ -2,7 +2,7 @@
 //! `ExploreOpts { threads > 1 }`, whose findings *and counters* are
 //! bit-identical to the serial DFS in [`crate::explore`].
 //!
-//! # Phases (DESIGN.md §13)
+//! # Two phases and the replay's witnesses (DESIGN.md §13)
 //!
 //! * **Phase A — parallel claim walk.** Workers share one visited set,
 //!   the claim table ([`Frontier`]): a worker expanding a state claims
@@ -18,14 +18,15 @@
 //!   application, just the DFS kernel of [`crate::walk`] — the one the
 //!   serial explorer runs — over the logged records, in the serial visit
 //!   order. Every reported number — `states`, `pruned`,
-//!   `memo_hits`, `truncated`, the code set — is therefore *the serial
-//!   explorer's number*, at every thread count, for every reduction
-//!   combination.
-//! * **Phase B — serial witness re-derivation.** The replayed code set
-//!   goes to [`crate::explore::explore_witnesses`], which re-runs the
-//!   serial DFS in canonical order and stops once every code has a
-//!   witness — same codes, same roots, same paths as `threads = 1`.
-//!   Clean targets skip Phase B entirely.
+//!   `memo_hits`, `truncated` — is therefore *the serial explorer's
+//!   number*, at every thread count, for every reduction combination.
+//!   The replay also records each lint code's first witness (code, root,
+//!   path) where the serial explorer does: at the pruned edge, the
+//!   quiescent-deficit edge (quiescent roots in root order) or the
+//!   lasso. Each witness path is then re-walked once from its root for
+//!   its message ([`crate::explore::rewalk`]), so codes, roots, paths,
+//!   messages and their order match `threads = 1` with no second walk
+//!   of the space.
 //!
 //! # Exactness: the replay pass and the two-key scheme
 //!
@@ -72,7 +73,6 @@
 //!   again, to a fixpoint. Acyclic spaces (every `reduce=none` /
 //!   `reduce=symmetry` run, and the bench headline) take one round.
 
-use std::collections::BTreeSet;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -97,18 +97,13 @@ use session_obs::{ProgressBoard, Recorder, TimelineSpan};
 
 use crate::diag::LintCode;
 use crate::explore::{
-    explore_witnesses, make_child, route_key, AnyMachine, Child, Exploration, ExploreOpts,
-    SessionCounter,
+    make_child, record_totals, route_key, AnyMachine, Child, Exploration, ExploreOpts,
+    SessionCounter, Witnesses,
 };
 use crate::machine::Menu;
-use crate::profile::{ExploreProfile, FlightOpts, WorkerProfile, FLIGHT_BUFFER_CAP};
+use crate::profile::{ExploreProfile, FlightOpts, ProgressBatch, WorkerProfile, FLIGHT_BUFFER_CAP};
 use crate::walk::{Counts, Edge, Expansion, Space, Walk};
 use crate::{por, symmetry};
-
-/// Progress updates are batched: workers publish to the shared
-/// [`session_obs::ProgressBoard`] once per this many expanded states,
-/// amortizing the atomic traffic to nothing.
-pub(crate) const PROGRESS_BATCH: u64 = 256;
 
 fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
@@ -373,9 +368,7 @@ struct Expander<'a> {
     menu: Menu,
     /// Child claims attempted, won or lost.
     claims: u64,
-    progress: Option<&'a ProgressBoard>,
-    batch_states: u64,
-    batch_depth: u64,
+    progress: ProgressBatch<'a>,
 }
 
 impl Expander<'_> {
@@ -383,12 +376,8 @@ impl Expander<'_> {
     /// unless flagged for full expansion), log the annotated successor
     /// record, and push the open children this worker wins.
     fn expand(&mut self, item: Claimed, stack: &mut Vec<Claimed>) {
-        if self.progress.is_some() {
-            self.batch_states += 1;
-            self.batch_depth = self.batch_depth.max(item.depth as u64);
-            if self.batch_states >= PROGRESS_BATCH {
-                self.flush_progress();
-            }
+        if let Some(board) = self.progress.tick(item.depth) {
+            board.set_frontier(self.frontier.pending.load(Ordering::Relaxed) as u64);
         }
         let Claimed {
             machine,
@@ -433,7 +422,7 @@ impl Expander<'_> {
         let mut logged = 0u64;
         for choice in range {
             match make_child(&machine, &menu, &counter, choice) {
-                Child::Pruned(code, _message) => {
+                Child::Pruned(code) => {
                     self.log.push(TAG_PRUNED);
                     self.log.push(code_tag(code));
                 }
@@ -468,17 +457,6 @@ impl Expander<'_> {
         self.log[record + 2] = logged | (choices as u64) << 16 | flags;
         self.menu = menu;
     }
-
-    fn flush_progress(&mut self) {
-        if self.batch_states > 0 {
-            if let Some(board) = self.progress {
-                board.add_states(self.batch_states);
-                board.raise_depth(self.batch_depth);
-                board.set_frontier(self.frontier.pending.load(Ordering::Relaxed) as u64);
-            }
-            self.batch_states = 0;
-        }
-    }
 }
 
 /// What one worker hands back at the round join.
@@ -498,7 +476,7 @@ fn run_worker(
 ) -> WorkerRoundOut {
     let frontier = expander.frontier;
     let mut prof = profile.then(|| Box::new(WorkerProfile::new()));
-    if let Some(board) = expander.progress {
+    if let Some(board) = expander.progress.board {
         board.worker_busy();
     }
     let tally = work(
@@ -508,8 +486,8 @@ fn run_worker(
         epoch,
         round,
     );
-    expander.flush_progress();
-    if let Some(board) = expander.progress {
+    if let Some(board) = expander.progress.flush() {
+        board.set_frontier(frontier.pending.load(Ordering::Relaxed) as u64);
         board.worker_idle();
     }
     if let Some(prof) = prof.as_deref_mut() {
@@ -648,10 +626,12 @@ struct Record<'g> {
     children: &'g [u64],
 }
 
-/// The serial walk over the logged key-graph.
+/// The serial walk over the logged key-graph. It records each code's
+/// first witness where the serial explorer does: at the pruned edge,
+/// the quiescent-deficit edge or the lasso.
 struct Replay<'g> {
     graph: &'g Graph,
-    codes: BTreeSet<LintCode>,
+    witnesses: Witnesses,
 }
 
 impl<'g> Space for Replay<'g> {
@@ -663,8 +643,8 @@ impl<'g> Space for Replay<'g> {
         Some(record.memo_key)
     }
 
-    fn lasso(&mut self, _path: &[usize]) {
-        self.codes.insert(LintCode::NonTermination);
+    fn lasso(&mut self, path: &[usize]) {
+        self.witnesses.record(LintCode::NonTermination, path);
     }
 
     fn expand(&mut self, record: &Record<'g>, _path: &[usize]) -> Expansion {
@@ -681,7 +661,7 @@ impl<'g> Space for Replay<'g> {
         &mut self,
         parent: &'b Record<'g>,
         choice: usize,
-        _path: &[usize],
+        path: &[usize],
     ) -> Edge<Record<'g>, ()> {
         let i = match &parent.ample {
             Some(ample) if parent.partial => choice - ample.start,
@@ -690,12 +670,12 @@ impl<'g> Space for Replay<'g> {
         let payload = parent.children[2 * i + 1];
         match parent.children[2 * i] {
             TAG_PRUNED => {
-                self.codes.insert(code_from_tag(payload));
+                self.witnesses.record(code_from_tag(payload), path);
                 Edge::Pruned(())
             }
             TAG_QUIESCENT => {
                 if payload != 0 {
-                    self.codes.insert(LintCode::SessionDeficit);
+                    self.witnesses.record(LintCode::SessionDeficit, path);
                 }
                 Edge::Pruned(())
             }
@@ -705,26 +685,40 @@ impl<'g> Space for Replay<'g> {
     }
 }
 
-/// Replays the serial walk over `graph` from the open `roots`. Quiescent
-/// roots were resolved at seed time: `deficit` is their `SA001` verdict.
-fn replay(graph: &Graph, roots: Vec<u64>, deficit: bool, max_depth: usize) -> Walk<Replay<'_>> {
+/// Replays the serial walk over `graph` from `roots` in order: the route
+/// key of each open root, `None` for a quiescent one, which has closed
+/// none of the `s` required sessions.
+fn replay<'g>(
+    graph: &'g Graph,
+    roots: &[Option<u64>],
+    s: u64,
+    max_depth: usize,
+) -> Walk<Replay<'g>> {
     let space = Replay {
         graph,
-        codes: BTreeSet::from_iter(deficit.then_some(LintCode::SessionDeficit)),
+        witnesses: Witnesses::default(),
     };
     // Growing the memo mid-replay would hold the old and new tables at
     // once, which set the exploration's peak memory.
     let mut walk = Walk::new(space, max_depth, graph.index.len());
-    for key in roots {
-        walk.visit(graph.state(key));
+    for (index, root) in roots.iter().enumerate() {
+        walk.space.witnesses.root = index;
+        match root {
+            Some(key) => {
+                walk.visit(graph.state(*key));
+            }
+            None if s > 0 => walk.space.witnesses.record(LintCode::SessionDeficit, &[]),
+            None => {}
+        }
     }
     walk
 }
 
 /// Everything Phase A hands the orchestrator when the claim walk
-/// finished cut-free: serial-exact verdict inputs plus activity totals.
+/// finished cut-free: the replay's serial-exact counts and witnesses
+/// plus activity totals.
 struct PartitionRun {
-    codes: BTreeSet<LintCode>,
+    witnesses: Witnesses,
     counts: Counts,
     unique_states: u64,
     rounds: u64,
@@ -757,17 +751,16 @@ fn explore_partitioned(
     loop {
         rounds += 1;
         let frontier = Frontier::new();
-        let mut open_roots = Vec::with_capacity(roots.len());
-        let mut deficit = false;
+        let mut replay_roots = Vec::with_capacity(roots.len());
         let mut seeds = Vec::new();
         for root in roots {
-            let counter = SessionCounter::new(n, s);
             if root.is_quiescent() {
-                deficit |= counter.sessions() < s;
+                replay_roots.push(None);
                 continue;
             }
+            let counter = SessionCounter::new(n, s);
             let key = route_key(root, &counter);
-            open_roots.push(key);
+            replay_roots.push(Some(key));
             if frontier.claim(key) {
                 if max_depth == 0 {
                     return None;
@@ -793,9 +786,7 @@ fn explore_partitioned(
                         log: Vec::new(),
                         menu: Menu::default(),
                         claims: 0,
-                        progress,
-                        batch_states: 0,
-                        batch_depth: 0,
+                        progress: ProgressBatch::new(progress),
                     };
                     scope.spawn(move || run_worker(expander, profile, epoch, rounds - 1))
                 })
@@ -829,7 +820,7 @@ fn explore_partitioned(
         let graph = Graph::build(logs);
         // wslint: allow(ws001): flight profiler measures real elapsed time by design
         let replay_started = Instant::now();
-        let replay = replay(&graph, open_roots, deficit, max_depth);
+        let replay = replay(&graph, &replay_roots, s, max_depth);
         replay_ns += nanos(replay_started.elapsed());
         let fresh: Vec<u64> = replay
             .needs_full
@@ -848,7 +839,7 @@ fn explore_partitioned(
             // serial memo key, so its size matches the serial explorer
             // even when Phase A expanded extra orbit representatives.
             unique_states: replay.memo_len() as u64,
-            codes: replay.space.codes,
+            witnesses: replay.space.witnesses,
             rounds,
             tally: total,
             replay_ns,
@@ -907,32 +898,18 @@ pub(crate) fn explore_parallel_flight(
         });
         return (exploration, profile);
     };
-    let pre_b_ns = nanos(epoch.elapsed());
-    let phase_a_ns = pre_b_ns.saturating_sub(run.replay_ns);
-
-    // Phase B: canonical witnesses, serially — free when nothing fired.
-    // wslint: allow(ws001): flight profiler measures real elapsed time by design
-    let phase_b_started = Instant::now();
-    let violations = explore_witnesses(roots, n, s, max_depth, opts, &run.codes);
-    let phase_b_ns = nanos(phase_b_started.elapsed());
-    debug_assert_eq!(
-        violations.len(),
-        run.codes.len(),
-        "witness re-derivation must find every code Phase A found"
-    );
+    let phase_a_ns = nanos(epoch.elapsed()).saturating_sub(run.replay_ns);
+    let (violations, phase_b_ns) = run.witnesses.violations(roots, n, s);
 
     let tally = run.tally;
     if recorder.is_enabled() {
-        recorder.counter("explore.memo_hits", run.counts.memo_hits);
-        recorder.counter("explore.memo_misses", run.counts.memo_misses);
-        recorder.counter("explore.pruned_choices", run.counts.pruned);
+        record_totals(recorder, &run.counts, epoch);
         recorder.counter("explore.duplicate_expansions", run.counts.duplicates);
         recorder.counter("explore.route_send", tally.donated);
         recorder.counter("explore.route_recv", tally.taken);
         recorder.counter("explore.local_msgs", tally.kept);
         recorder.counter("explore.queue_full_spins", tally.empty_polls);
         recorder.counter("explore.rounds", run.rounds);
-        recorder.gauge("explore.states", run.counts.states as f64);
         recorder.gauge("explore.memo_entries", run.unique_states as f64);
         recorder.gauge("explore.threads", opts.threads as f64);
         let kept_or_donated = tally.kept + tally.donated;
@@ -941,10 +918,6 @@ pub(crate) fn explore_parallel_flight(
                 "explore.owner_local_ratio",
                 tally.kept as f64 / kept_or_donated as f64,
             );
-        }
-        let elapsed = epoch.elapsed().as_secs_f64();
-        if elapsed > 0.0 {
-            recorder.gauge("explore.states_per_sec", run.counts.states as f64 / elapsed);
         }
         if let Some(workers) = &run.workers {
             let expand: u64 = workers.iter().map(|w| w.expand_ns).sum();

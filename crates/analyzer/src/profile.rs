@@ -49,6 +49,52 @@ impl FlightOpts {
     }
 }
 
+/// Progress updates are batched: an explorer publishes to the shared
+/// [`ProgressBoard`] once per this many expanded states, amortizing the
+/// atomic traffic to nothing.
+const PROGRESS_BATCH: u64 = 256;
+
+/// One explorer thread's batched updates to the live-progress board;
+/// inert without a board.
+pub(crate) struct ProgressBatch<'a> {
+    pub(crate) board: Option<&'a ProgressBoard>,
+    states: u64,
+    depth: u64,
+}
+
+impl<'a> ProgressBatch<'a> {
+    pub(crate) fn new(board: Option<&'a ProgressBoard>) -> ProgressBatch<'a> {
+        ProgressBatch {
+            board,
+            states: 0,
+            depth: 0,
+        }
+    }
+
+    /// Counts one state expanded at `depth`. Returns the board when this
+    /// published a full batch to it.
+    pub(crate) fn tick(&mut self, depth: usize) -> Option<&'a ProgressBoard> {
+        self.board?;
+        self.states += 1;
+        self.depth = self.depth.max(depth as u64);
+        if self.states < PROGRESS_BATCH {
+            return None;
+        }
+        self.flush()
+    }
+
+    /// Publishes the batched states and depth; returns the board.
+    pub(crate) fn flush(&mut self) -> Option<&'a ProgressBoard> {
+        let board = self.board?;
+        if self.states > 0 {
+            board.add_states(self.states);
+            self.states = 0;
+        }
+        board.raise_depth(self.depth);
+        Some(board)
+    }
+}
+
 /// Per-worker flight data, owned by exactly one worker thread during
 /// Phase A and merged into the profile after the join. With POR
 /// fixpoint re-rounds the per-round profiles are summed per worker id.
@@ -196,11 +242,14 @@ pub struct ExploreProfile {
     pub fallback: bool,
     /// End-to-end wall clock (all phases), nanoseconds.
     pub wall_ns: u64,
-    /// Phase A (parallel claim walk, all rounds) wall clock.
+    /// Phase A (parallel claim walk, all rounds) wall clock; the whole
+    /// walk for the serial explorer.
     pub phase_a_ns: u64,
     /// Serial replay over the logged key-graph, wall clock.
     pub replay_ns: u64,
-    /// Phase B (serial witness re-derivation) wall clock.
+    /// Witness re-walks wall clock: each recorded witness path walked
+    /// again from its root for its message (the slot keeps the name of
+    /// the serial witness walk it replaced).
     pub phase_b_ns: u64,
     /// One entry per worker.
     pub workers: Vec<WorkerProfile>,

@@ -39,9 +39,7 @@ use session_smm::TreeSpec;
 use session_types::{Dur, KnownBounds, ProcessId, SessionSpec, Time, TimingModel, VarId};
 
 use crate::diag::{Diagnostic, LintCode, Report, TargetSummary};
-use crate::explore::{
-    explicit_control_reach, explore_flight, AnyMachine, ExploreOpts, SessionCounter,
-};
+use crate::explore::{explicit_control_reach, explore_flight, rewalk, AnyMachine, ExploreOpts};
 use crate::machine::{assignments, sm_system_algos, GapMode, MpAlgo, MpMachine, SmAlgo, SmMachine};
 use crate::profile::{ExploreProfile, FlightOpts};
 use crate::replay;
@@ -132,7 +130,7 @@ impl TargetSpace {
             // The explorer's count is only the full-trace count at a quiescent
             // leaf; mid-path violations skip the counter cross-check.
             let expected = (violation.code == LintCode::SessionDeficit)
-                .then(|| incremental_sessions(root, &violation.path, self.scope.n, self.scope.s));
+                .then(|| rewalk(root, self.scope.n, self.scope.s, &violation.path).2);
             let problems = replay::self_check(root, &counterexample, &self.bounds, expected);
             let repro = replay::repro_string(violation.root, &violation.path);
             report.findings.push(Diagnostic {
@@ -699,18 +697,6 @@ pub fn periodic_mp_space_with_delays(n: usize, s: u64, delays: &[Dur]) -> Target
         bounds: KnownBounds::periodic(d2).expect("a positive delay bound is valid"),
         roots: mp_periodic_roots(algos, &periods, delays),
     }
-}
-
-/// Recomputes the incremental session count along `path`, for
-/// cross-checking against the reference counter in the self-check.
-fn incremental_sessions(root: &AnyMachine, path: &[usize], n: usize, s: u64) -> u64 {
-    let mut machine = root.clone();
-    let mut counter = SessionCounter::new(n, s);
-    for &choice in path {
-        let info = machine.apply(choice, None);
-        counter.observe(&info);
-    }
-    counter.sessions()
 }
 
 /// The paper's Table 1 closing-time bound for the named target, as an

@@ -5,8 +5,9 @@
 //! because a reduction may legitimately find a violation along a
 //! different representative interleaving. The thread count is held to a
 //! stricter standard: the parallel explorer replays the serial DFS over
-//! the claim walk's logged key-graph and re-derives its witnesses
-//! through the serial DFS (see `partition.rs`), so not just the codes but
+//! the claim walk's logged key-graph and records its witnesses during
+//! that replay, where the serial explorer records them (see
+//! `partition.rs`), so not just the codes but
 //! the *witness roots, paths, messages, their order*, the truncation
 //! flag, the `states` count and the reduction stats must match the
 //! serial run exactly, at every thread count, under every reduction
@@ -17,7 +18,7 @@
 use proptest::prelude::*;
 use session_analyzer::explore::{explore_flight, explore_with_opts, Exploration};
 use session_analyzer::machine::{GapMode, SmAlgo, SmMachine};
-use session_analyzer::{scoped_target_space, ExploreOpts, FlightOpts, TARGET_NAMES};
+use session_analyzer::{scoped_target_space, target_space, ExploreOpts, FlightOpts, TARGET_NAMES};
 use session_obs::{InMemoryRecorder, NullRecorder};
 use session_smm::RelayProcess;
 use session_types::{Dur, Time, VarId};
@@ -148,6 +149,51 @@ fn witness_targets_are_thread_invariant() {
     assert_thread_invariant("NaivePeriodicSm", 2, 2, 24);
     assert_thread_invariant("NaiveSemiSyncSm", 2, 2, 20);
     assert_thread_invariant("NaiveSporadicMp", 2, 2, 16);
+}
+
+/// The three witness targets at their registry scopes, the spaces the
+/// CLI reports on: threads=2 must match serial field for field. The
+/// `SA003` witness of NaiveSporadicMp (2, 3) lies under root 1, behind
+/// the whole of root 0's space, so a replay that recorded witnesses
+/// anywhere but where the serial walk does would show here. Seconds in
+/// release; the release run (`cargo test --release --test
+/// parallel_diff`) carries it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "minutes in debug; runs under --release")]
+fn witness_targets_are_thread_invariant_at_registry_scope() {
+    for name in ["NaivePeriodicSm", "NaiveSemiSyncSm", "NaiveSporadicMp"] {
+        let space = target_space(name).expect("registered target");
+        let (n, s, depth) = (space.scope.n, space.scope.s, space.scope.max_depth);
+        let serial = explore_with_opts(&space.roots, n, s, depth, ExploreOpts::default());
+        let parallel = explore_with_opts(
+            &space.roots,
+            n,
+            s,
+            depth,
+            ExploreOpts {
+                threads: 2,
+                ..ExploreOpts::default()
+            },
+        );
+        assert!(!serial.violations.is_empty(), "{name}: a witness target");
+        assert_identical(
+            &serial,
+            &parallel,
+            &format!("{name} n={n} s={s} depth={depth} threads=2"),
+        );
+        if name == "NaiveSporadicMp" {
+            assert_eq!((n, s), (2, 3));
+            let sa003 = parallel
+                .violations
+                .iter()
+                .find(|v| v.code.code() == "SA003")
+                .expect("NaiveSporadicMp claims stale sessions");
+            assert_eq!(
+                (sa003.root, sa003.path.as_slice()),
+                (1, &[0, 1, 0, 0, 0, 0, 2, 2, 3, 0, 0, 4, 4, 2][..])
+            );
+        }
+    }
 }
 
 /// A relay hosted as the only "port": relays never idle, so the machine

@@ -20,11 +20,11 @@
 //! * [`SharedRecorder`] — a cloneable `Arc<Mutex<_>>` adapter so the
 //!   multi-threaded real-clock runtime (`session-net`) can feed any
 //!   backend from one OS thread per process.
-//! * [`metrics`] — lock-free primitives for the explorer flight
-//!   recorder: atomic counters/histograms, a fixed [`MetricsRegistry`],
-//!   per-worker span timelines and the live-progress scoreboard. These
-//!   exist because `&mut dyn Recorder` would serialize the parallel
-//!   explorer's workers on the contention they are measuring.
+//! * [`metrics`] — the registered metric names and the explorer flight
+//!   recorder's per-worker span timelines and live-progress scoreboard.
+//!   The parallel explorer's workers use these instead of
+//!   `&mut dyn Recorder`, which would serialize them on the contention
+//!   they are measuring.
 //! * [`export`] — turns any recorded [`session_sim::Trace`] into Chrome
 //!   trace-event / Perfetto JSON (open in <https://ui.perfetto.dev>) or a
 //!   structured JSONL event stream.
@@ -58,9 +58,6 @@ mod sync;
 
 pub use jsonl::JsonlRecorder;
 pub use memory::{Histogram, InMemoryRecorder, MetricsSnapshot};
-pub use metrics::{
-    AtomicCounter, AtomicHistogram, MetricsRegistry, ProgressBoard, ProgressSnapshot, TimelineSpan,
-    WorkerTimeline,
-};
+pub use metrics::{ProgressBoard, ProgressSnapshot, TimelineSpan, WorkerTimeline};
 pub use recorder::{NullRecorder, Recorder, Span};
 pub use sync::SharedRecorder;

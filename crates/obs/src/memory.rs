@@ -10,7 +10,7 @@ use crate::recorder::Recorder;
 /// Number of histogram buckets: bucket `i < 32` counts samples with
 /// `value <= 2^i` (bucket 0 additionally absorbs everything `<= 1`,
 /// including non-positive samples); bucket 32 is the overflow bucket.
-pub(crate) const BUCKETS: usize = 33;
+const BUCKETS: usize = 33;
 
 /// A fixed-bucket power-of-two histogram.
 ///
@@ -62,7 +62,7 @@ impl Histogram {
         }
     }
 
-    pub(crate) fn bucket_of(value: f64) -> usize {
+    fn bucket_of(value: f64) -> usize {
         if value <= 1.0 || value.is_nan() {
             return 0;
         }
@@ -80,24 +80,6 @@ impl Histogram {
     /// bucket).
     fn bucket_bound(i: usize) -> Option<f64> {
         (i < BUCKETS - 1).then(|| 2.0f64.powi(i as i32))
-    }
-
-    /// Rebuilds a histogram from pre-aggregated parts (the lock-free
-    /// [`crate::metrics::AtomicHistogram`] snapshots through this).
-    pub(crate) fn from_parts(
-        counts: [u64; BUCKETS],
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
-    ) -> Histogram {
-        Histogram {
-            counts,
-            count,
-            sum,
-            min,
-            max,
-        }
     }
 
     /// Folds every sample of `other` into `self`.

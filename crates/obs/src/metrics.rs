@@ -1,37 +1,27 @@
-//! Lock-free metrics primitives for the explorer flight recorder.
+//! Metric names and the lock-free pieces of the explorer flight
+//! recorder.
 //!
 //! The [`crate::Recorder`] trait takes `&mut self`, which is perfect for
-//! single-threaded engines but wrong for the parallel explorer: eight
-//! workers funneling per-state events through one `&mut dyn Recorder`
-//! would serialize on the very lock contention they are trying to
-//! measure. This module provides the shared-nothing complement:
+//! single-threaded engines but wrong inside the parallel explorer's
+//! workers: funneling per-state events through one `&mut dyn Recorder`
+//! would serialize them on the very contention they are trying to
+//! measure. The workers keep their own tallies and hand them to a
+//! recorder after the join; this module holds what they share or own
+//! meanwhile:
 //!
-//! - [`AtomicCounter`] / [`AtomicHistogram`]: relaxed-ordering atomics a
-//!   worker can hit from any thread without locks. Histograms use the
-//!   same fixed power-of-two buckets as [`crate::Histogram`], so a
-//!   snapshot merges losslessly into a [`crate::MetricsSnapshot`].
-//! - [`MetricsRegistry`]: a fixed set of named counters/histograms
-//!   registered up front; workers resolve handles to `&AtomicCounter`
-//!   references *before* the hot loop and the registry folds everything
-//!   into an ordinary recorder at quiesce via
-//!   [`crate::Recorder::merge_histogram`].
 //! - [`WorkerTimeline`] / [`TimelineSpan`]: per-worker span buffers,
 //!   owned by one thread (no sharing at all) and flushed when the worker
 //!   joins — these become the per-worker tracks in the Perfetto export.
 //! - [`ProgressBoard`]: a handful of atomics the live `progress=on` line
 //!   polls from a monitor thread while workers update it in batches.
 //!
-//! Hot-path cost: one relaxed `fetch_add` per counted event, a `Vec`
-//! push per timeline span, and nothing at all when profiling is off (the
-//! callers branch on an `Option` that is `None`). See DESIGN.md §15 for
-//! the registry's metric-name table; [`METRIC_NAMES`] is the machine
-//! checked list.
+//! Hot-path cost: a `Vec` push per timeline span, a few relaxed atomic
+//! updates per progress batch, and nothing at all when profiling is off
+//! (the callers branch on an `Option` that is `None`). See DESIGN.md §15
+//! for the metric-name table; [`METRIC_NAMES`] is the machine checked
+//! list.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-use crate::memory::BUCKETS;
-use crate::recorder::Recorder;
-use crate::Histogram;
 
 /// Every metric name the flight recorder can emit into a
 /// [`crate::MetricsSnapshot`], across the explicit explorer
@@ -90,212 +80,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "serve.close_lag_ms",
     "serve.peak_live_sessions",
 ];
-
-/// A monotonic counter shared across worker threads.
-///
-/// All operations use relaxed ordering: counts are only read after the
-/// workers have joined (which synchronizes), so no ordering beyond
-/// atomicity is needed.
-#[derive(Debug, Default)]
-pub struct AtomicCounter(AtomicU64);
-
-impl AtomicCounter {
-    /// A zeroed counter.
-    pub fn new() -> AtomicCounter {
-        AtomicCounter::default()
-    }
-
-    /// Adds `delta`.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A lock-free histogram over integer-valued samples (durations in
-/// nanoseconds, queue depths), with the same fixed power-of-two bucket
-/// layout as [`Histogram`].
-///
-/// Recording is three relaxed `fetch_add`s plus two `fetch_min`/`max`;
-/// [`AtomicHistogram::snapshot`] rebuilds an ordinary [`Histogram`] that
-/// merges into a [`crate::MetricsSnapshot`] without losing bucket
-/// resolution.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> AtomicHistogram {
-        AtomicHistogram::new()
-    }
-}
-
-impl AtomicHistogram {
-    /// An empty histogram.
-    pub fn new() -> AtomicHistogram {
-        AtomicHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        #[allow(clippy::cast_precision_loss)]
-        let bucket = Histogram::bucket_of(value as f64);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Copies the current contents into a mergeable [`Histogram`].
-    ///
-    /// Not a consistent cut while writers are still recording (a sample
-    /// may have bumped `count` but not yet its bucket); call it after the
-    /// workers quiesce, which is the only time the flight recorder reads.
-    #[allow(clippy::cast_precision_loss)]
-    pub fn snapshot(&self) -> Histogram {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return Histogram::new();
-        }
-        let counts = std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
-        Histogram::from_parts(
-            counts,
-            count,
-            self.sum.load(Ordering::Relaxed) as f64,
-            self.min.load(Ordering::Relaxed) as f64,
-            self.max.load(Ordering::Relaxed) as f64,
-        )
-    }
-}
-
-/// A named metric slot in a [`MetricsRegistry`].
-///
-/// Handles are plain indices: workers resolve them to atomic references
-/// once, outside the hot loop, so the per-event cost never includes a
-/// name lookup.
-pub type MetricHandle = usize;
-
-/// A fixed registry of named lock-free metrics.
-///
-/// Built single-threaded (registration takes `&mut self`), then shared
-/// immutably (e.g. behind an `Arc`) across worker threads which update
-/// through [`MetricsRegistry::counter`] / [`MetricsRegistry::histogram`].
-/// At quiesce, [`MetricsRegistry::emit`] folds everything into an
-/// ordinary [`Recorder`] so the results land in the same unified
-/// snapshot as the serial engines' metrics.
-///
-/// # Examples
-///
-/// ```
-/// use session_obs::metrics::MetricsRegistry;
-/// use session_obs::{InMemoryRecorder, Recorder};
-///
-/// let mut reg = MetricsRegistry::new();
-/// let sent = reg.register_counter("explore.route_send");
-/// let idle = reg.register_histogram("explore.idle_ns");
-/// reg.counter(sent).add(3);
-/// reg.histogram(idle).record(250);
-/// let mut rec = InMemoryRecorder::new();
-/// reg.emit(&mut rec);
-/// let snap = rec.snapshot();
-/// assert_eq!(snap.counter("explore.route_send"), 3);
-/// assert_eq!(
-///     snap.histogram("explore.idle_ns").unwrap().count(),
-///     1
-/// );
-/// ```
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(&'static str, AtomicCounter)>,
-    histograms: Vec<(&'static str, AtomicHistogram)>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Registers a counter, returning its handle.
-    pub fn register_counter(&mut self, name: &'static str) -> MetricHandle {
-        self.counters.push((name, AtomicCounter::new()));
-        self.counters.len() - 1
-    }
-
-    /// Registers a histogram, returning its handle.
-    pub fn register_histogram(&mut self, name: &'static str) -> MetricHandle {
-        self.histograms.push((name, AtomicHistogram::new()));
-        self.histograms.len() - 1
-    }
-
-    /// The counter behind `handle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handle` did not come from
-    /// [`MetricsRegistry::register_counter`] on this registry.
-    #[inline]
-    pub fn counter(&self, handle: MetricHandle) -> &AtomicCounter {
-        &self.counters[handle].1
-    }
-
-    /// The histogram behind `handle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `handle` did not come from
-    /// [`MetricsRegistry::register_histogram`] on this registry.
-    #[inline]
-    pub fn histogram(&self, handle: MetricHandle) -> &AtomicHistogram {
-        &self.histograms[handle].1
-    }
-
-    /// Folds every registered metric into `recorder` (non-zero counters
-    /// as counter deltas, non-empty histograms via
-    /// [`Recorder::merge_histogram`]).
-    pub fn emit(&self, recorder: &mut dyn Recorder) {
-        for (name, counter) in &self.counters {
-            let value = counter.get();
-            if value > 0 {
-                recorder.counter(name, value);
-            }
-        }
-        for (name, histogram) in &self.histograms {
-            let snap = histogram.snapshot();
-            if snap.count() > 0 {
-                recorder.merge_histogram(name, &snap);
-            }
-        }
-    }
-}
 
 /// One closed span on a worker's timeline, in nanoseconds since the
 /// exploration epoch.
@@ -445,61 +229,6 @@ impl ProgressBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::InMemoryRecorder;
-
-    #[test]
-    fn atomic_histogram_snapshot_matches_serial_recording() {
-        let atomic = AtomicHistogram::new();
-        let mut serial = Histogram::new();
-        for v in [0u64, 1, 2, 3, 1000, u64::from(u32::MAX)] {
-            atomic.record(v);
-            #[allow(clippy::cast_precision_loss)]
-            serial.record(v as f64);
-        }
-        assert_eq!(atomic.snapshot(), serial);
-        assert_eq!(atomic.count(), 6);
-        assert_eq!(atomic.sum(), 1006 + u64::from(u32::MAX));
-    }
-
-    #[test]
-    fn empty_atomic_histogram_snapshots_empty() {
-        assert_eq!(AtomicHistogram::new().snapshot(), Histogram::new());
-    }
-
-    #[test]
-    fn registry_counts_across_threads_and_emits() {
-        let mut reg = MetricsRegistry::new();
-        let dup = reg.register_counter("explore.duplicate_expansions");
-        let wait = reg.register_histogram("explore.idle_ns");
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let reg = &reg;
-                scope.spawn(move || {
-                    let counter = reg.counter(dup);
-                    let hist = reg.histogram(wait);
-                    for i in 0..100 {
-                        counter.add(1);
-                        hist.record(i);
-                    }
-                });
-            }
-        });
-        let mut rec = InMemoryRecorder::new();
-        reg.emit(&mut rec);
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter("explore.duplicate_expansions"), 400);
-        assert_eq!(snap.histogram("explore.idle_ns").unwrap().count(), 400);
-    }
-
-    #[test]
-    fn registry_emit_skips_untouched_metrics() {
-        let mut reg = MetricsRegistry::new();
-        reg.register_counter("explore.queue_full_spins");
-        reg.register_histogram("explore.idle_ns");
-        let mut rec = InMemoryRecorder::new();
-        reg.emit(&mut rec);
-        assert!(rec.snapshot().is_empty());
-    }
 
     #[test]
     fn timeline_caps_and_counts_overflow() {

@@ -31,10 +31,9 @@ pub trait Recorder {
     /// Folds a pre-aggregated histogram into the named slot.
     ///
     /// [`Recorder::observe`] ingests raw samples one at a time; this is
-    /// the bulk seam for components that aggregate off to the side (a
-    /// per-thread [`crate::metrics::AtomicHistogram`], the `net`
-    /// runtime's pacer-lag histogram) and hand the result over at
-    /// quiesce. The default implementation discards the histogram, so
+    /// the bulk seam for components that aggregate off to the side (the
+    /// `net` runtime's pacer-lag histogram, the zone walker's closure
+    /// timings) and hand the result over at quiesce. The default implementation discards the histogram, so
     /// streaming backends (JSONL) and the null recorder are unaffected.
     fn merge_histogram(&mut self, name: &'static str, hist: &crate::Histogram) {
         let _ = (name, hist);
