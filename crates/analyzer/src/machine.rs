@@ -630,6 +630,49 @@ enum PendingKind {
 /// to `process`. State hashes and the menu order go by it.
 type Identity = (u8, usize, usize, u64);
 
+/// The high bit of a pending-event word: set, the word is an escape and
+/// the event's field is spelled out in the words after it; clear, the
+/// word holds the field itself.
+const ESCAPE: u64 = 1 << 63;
+
+/// Feeds one pending event to `hasher` as [`MpMachine::state_hash`] and
+/// its kin encode it: the time relative to the next event (left out for
+/// the control hash, which has none), then the identity, one word each in
+/// the common case.
+///
+/// - Time: an integer in `0..2^63` is its own word. Any other value is
+///   [`ESCAPE`] followed by its numerator and denominator.
+/// - Identity: `kind << 62 | process << 54 | from << 46 | value` when
+///   the process and sender fit in 8 bits and the value in 46. Otherwise
+///   `ESCAPE | kind` followed by the process, the sender and the value.
+///
+/// A word with the high bit clear is a whole field, and an escape word
+/// says how many words follow, so the encoding is prefix-free and a word
+/// stream decodes to one event sequence.
+fn hash_event<H: Hasher>(time: Option<Dur>, identity: Identity, hasher: &mut H) {
+    if let Some(time) = time {
+        let time = time.as_ratio();
+        match u64::try_from(time.numer()) {
+            Ok(word) if time.is_integer() && word < ESCAPE => hasher.write_u64(word),
+            _ => {
+                hasher.write_u64(ESCAPE);
+                hasher.write_i128(time.numer());
+                hasher.write_i128(time.denom());
+            }
+        }
+    }
+    let (kind, p, from, value) = identity;
+    debug_assert!(kind <= 1, "an identity's kind is 0 or 1");
+    if p < 1 << 8 && from < 1 << 8 && value < 1 << 46 {
+        hasher.write_u64(u64::from(kind) << 62 | (p as u64) << 54 | (from as u64) << 46 | value);
+    } else {
+        hasher.write_u64(ESCAPE | u64::from(kind));
+        hasher.write_usize(p);
+        hasher.write_usize(from);
+        hasher.write_u64(value);
+    }
+}
+
 impl Pending {
     /// The event's [`Identity`].
     fn identity(&self) -> Identity {
@@ -773,6 +816,8 @@ pub(crate) struct Stepped {
     process: usize,
     /// The process after the step, as every child installs it.
     algo: Arc<MpAlgo>,
+    /// `algo`'s fingerprint, taken once here for every child's key.
+    print: u64,
     /// Whether the process was idle before the step.
     was_idle: bool,
     /// What the step consumed and broadcast, and whether it idled.
@@ -834,6 +879,18 @@ fn hash_inbox<H: Hasher>(
     scratch.hash(hasher);
 }
 
+/// One hosted message-passing process in [`MpMachine`]'s table.
+#[derive(Clone, Debug)]
+struct Proc {
+    /// The process state.
+    algo: Arc<MpAlgo>,
+    /// `algo.fingerprint()`, computed once when the state was made (at
+    /// the root, or by the menu step that produced it).
+    print: u64,
+    /// Messages delivered since the process last stepped.
+    inbox: Arc<Vec<Envelope<SessionMsg>>>,
+}
+
 /// The per-exploration-root immutable configuration of an [`MpMachine`],
 /// shared by every state forked from that root (see [`SmStatics`]).
 #[derive(Debug)]
@@ -851,9 +908,12 @@ struct MpStatics {
 /// processes are port processes (`p`'s buffer is port `p`), as
 /// `build_mp_system` wires it.
 ///
-/// Like [`SmMachine`], per-process states and inboxes are interned behind
-/// `Arc`s: forking a branch is refcount traffic, and `apply` copies only
-/// the one process (and one inbox) the event touches.
+/// The processes live in one table of [`Proc`]s, each holding its state
+/// and its inbox behind `Arc`s and its fingerprint cached beside them:
+/// forking a branch copies the table and `pending` (two allocations) and
+/// bumps refcounts, `apply` copies only the one process (and one inbox)
+/// the event touches, and hashing a state reads the cached fingerprints
+/// instead of walking every process again.
 ///
 /// `pending` is kept in **canonical order** ([`Pending::order`]): by time,
 /// then by what the event is, with the insertion `seq` as the final
@@ -873,8 +933,7 @@ struct MpStatics {
 /// which representative happened to be reached first.
 #[derive(Clone, Debug)]
 pub struct MpMachine {
-    algos: Vec<Arc<MpAlgo>>,
-    inboxes: Vec<Arc<Vec<Envelope<SessionMsg>>>>,
+    procs: Vec<Proc>,
     pending: Vec<Pending>,
     next_seq: u64,
     statics: Arc<MpStatics>,
@@ -904,11 +963,18 @@ impl MpMachine {
             .collect();
         pending.sort_by_key(Pending::order);
         let empty_inbox = Arc::new(Vec::new());
+        let procs = algos
+            .into_iter()
+            .map(|algo| Proc {
+                print: algo.fingerprint(),
+                algo: Arc::new(algo),
+                inbox: Arc::clone(&empty_inbox),
+            })
+            .collect();
         MpMachine {
-            inboxes: vec![Arc::clone(&empty_inbox); n],
+            procs,
             pending,
             next_seq: n as u64,
-            algos: algos.into_iter().map(Arc::new).collect(),
             statics: Arc::new(MpStatics {
                 gaps,
                 delays,
@@ -918,20 +984,24 @@ impl MpMachine {
         }
     }
 
-    /// Per-process fingerprints.
+    /// Per-process fingerprints, recomputed from the process states
+    /// (replay compares them with the engine's).
     pub fn fingerprints(&self) -> Vec<u64> {
-        self.algos.iter().map(|a| a.fingerprint()).collect()
+        self.procs.iter().map(|p| p.algo.fingerprint()).collect()
     }
 
     /// The largest session count any process currently claims, if any
     /// process maintains one.
     pub fn claimed_sessions_max(&self) -> Option<u64> {
-        self.algos.iter().filter_map(|a| a.claimed_sessions()).max()
+        self.procs
+            .iter()
+            .filter_map(|p| p.algo.claimed_sessions())
+            .max()
     }
 
     /// Every (port) process idle.
     pub fn is_quiescent(&self) -> bool {
-        self.algos.iter().all(|a| a.is_idle())
+        self.procs.iter().all(|p| p.algo.is_idle())
     }
 
     fn t_min(&self) -> Time {
@@ -963,11 +1033,13 @@ impl MpMachine {
     /// Takes process `p`'s step once, through [`step_process`] on a clone
     /// of the process and its inbox. The machine itself is untouched.
     fn step(&self, p: usize) -> Stepped {
-        let mut algo = MpAlgo::clone(&self.algos[p]);
+        let proc = &self.procs[p];
+        let mut algo = MpAlgo::clone(&proc.algo);
         let was_idle = algo.is_idle();
-        let result = step_process(&mut algo, Vec::clone(&self.inboxes[p]));
+        let result = step_process(&mut algo, Vec::clone(&proc.inbox));
         Stepped {
             process: p,
+            print: algo.fingerprint(),
             algo: Arc::new(algo),
             was_idle,
             result,
@@ -1032,7 +1104,7 @@ impl MpMachine {
     /// is invariant under process permutation (the gate for symmetry
     /// reduction; see [`MpAlgo::id_free`]).
     pub(crate) fn symmetric(&self) -> bool {
-        self.algos.iter().all(|a| a.id_free())
+        self.procs.iter().all(|p| p.algo.id_free())
     }
 
     /// Hashes the state as it would look after renaming process `i` to
@@ -1047,12 +1119,11 @@ impl MpMachine {
         }
         let inverse = &inverse[..self.n];
         let t = self.t_min();
-        for &old in inverse {
-            self.algos[old].fingerprint().hash(hasher);
-        }
         with_scratch(|scratch| {
             for &old in inverse {
-                hash_inbox(&self.inboxes[old], |p| sigma[p], &mut scratch.inbox, hasher);
+                let proc = &self.procs[old];
+                hasher.write_u64(proc.print);
+                hash_inbox(&proc.inbox, |p| sigma[p], &mut scratch.inbox, hasher);
             }
             scratch.pending.clear();
             scratch.pending.extend(self.pending.iter().map(|e| {
@@ -1061,7 +1132,10 @@ impl MpMachine {
                 (e.time - t, (kind, sigma[p], from, value))
             }));
             scratch.pending.sort_unstable();
-            scratch.pending.hash(hasher);
+            hasher.write_usize(scratch.pending.len());
+            for &(time, identity) in &scratch.pending {
+                hash_event(Some(time), identity, hasher);
+            }
         });
         if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
             for &old in inverse {
@@ -1130,9 +1204,10 @@ impl MpMachine {
                 value,
                 msg,
             } => {
-                Arc::make_mut(&mut self.inboxes[to])
+                let proc = &mut self.procs[to];
+                Arc::make_mut(&mut proc.inbox)
                     .push(Envelope::new(ProcessId::new(from), SessionMsg::new(value)));
-                let idle = self.algos[to].is_idle();
+                let idle = proc.algo.is_idle();
                 if let Some(trace) = trace {
                     let msg = msg.expect("traced replay assigns message ids at send time");
                     trace.record_delivery(msg, now);
@@ -1157,8 +1232,11 @@ impl MpMachine {
             PendingKind::Step(p) => p,
         };
         let step = step.expect("a step fires with its menu outcome");
-        self.algos[p] = Arc::clone(&step.algo);
-        self.inboxes[p] = Arc::clone(&self.statics.empty_inbox);
+        self.procs[p] = Proc {
+            algo: Arc::clone(&step.algo),
+            print: step.print,
+            inbox: Arc::clone(&self.statics.empty_inbox),
+        };
         let first = self.next_seq;
         if let Some(payload) = &step.result.broadcast {
             for q in 0..self.n {
@@ -1206,21 +1284,24 @@ impl MpMachine {
     /// insertion sequence is an enumeration artifact, not state), which is
     /// also the menu order — so equal hashes mean equal menus: the hash is
     /// graph-determining, which the parallel explorer's claim table relies
-    /// on. Allocates nothing.
+    /// on. Allocates nothing, and reads each process's cached fingerprint;
+    /// each pending event is two words ([`hash_event`]).
     pub fn state_hash(&self) -> u64 {
+        debug_assert!(
+            self.procs.iter().all(|p| p.print == p.algo.fingerprint()),
+            "a cached process fingerprint is stale"
+        );
         let mut hasher = FxHasher::default();
         let t = self.t_min();
-        for algo in &self.algos {
-            algo.fingerprint().hash(&mut hasher);
-        }
         with_scratch(|scratch| {
-            for inbox in &self.inboxes {
-                hash_inbox(inbox, |p| p, &mut scratch.inbox, &mut hasher);
+            for proc in &self.procs {
+                hasher.write_u64(proc.print);
+                hash_inbox(&proc.inbox, |p| p, &mut scratch.inbox, &mut hasher);
             }
         });
-        self.pending.len().hash(&mut hasher);
+        hasher.write_usize(self.pending.len());
         for event in &self.pending {
-            (event.time - t, event.identity()).hash(&mut hasher);
+            hash_event(Some(event.time - t), event.identity(), &mut hasher);
         }
         if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
             periods.hash(&mut hasher);
@@ -1307,19 +1388,20 @@ impl MpMachine {
     /// remains part of control.
     pub fn control_hash(&self) -> u64 {
         let mut hasher = FxHasher::default();
-        for algo in &self.algos {
-            algo.fingerprint().hash(&mut hasher);
-        }
         with_scratch(|scratch| {
-            for inbox in &self.inboxes {
-                hash_inbox(inbox, |p| p, &mut scratch.inbox, &mut hasher);
+            for proc in &self.procs {
+                hasher.write_u64(proc.print);
+                hash_inbox(&proc.inbox, |p| p, &mut scratch.inbox, &mut hasher);
             }
             scratch.identities.clear();
             scratch
                 .identities
                 .extend(self.pending.iter().map(Pending::identity));
             scratch.identities.sort_unstable();
-            scratch.identities.hash(&mut hasher);
+            hasher.write_usize(scratch.identities.len());
+            for &identity in &scratch.identities {
+                hash_event(None, identity, &mut hasher);
+            }
         });
         if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
             periods.hash(&mut hasher);
@@ -1345,10 +1427,11 @@ impl MpMachine {
         let t = self.t_min();
         let mut parts: Vec<String> = inverse
             .iter()
-            .map(|&old| format!("{:?}", self.algos[old]))
+            .map(|&old| format!("{:?}", self.procs[old].algo))
             .collect();
         for &old in &inverse {
-            let mut entries: Vec<(usize, u64)> = self.inboxes[old]
+            let mut entries: Vec<(usize, u64)> = self.procs[old]
+                .inbox
                 .iter()
                 .map(|env| (sigma[env.from.index()], env.payload.value))
                 .collect();
@@ -1660,7 +1743,8 @@ mod tests {
         assert_eq!(first_delivery, 8);
         let info = machine.apply(first_delivery, None);
         assert!(!info.is_process_step);
-        assert_eq!(machine.inboxes.iter().map(|i| i.len()).sum::<usize>(), 1);
+        let inboxes = machine.procs.iter().map(|p| p.inbox.len());
+        assert_eq!(inboxes.sum::<usize>(), 1);
     }
 
     #[test]
@@ -1696,7 +1780,7 @@ mod tests {
         let _ = a.apply_menu(&menu, block.start, None);
         let _ = b.apply_menu(&menu, block.start + 1, None);
         assert_ne!(a.state_hash(), b.state_hash(), "different delay combos");
-        assert!(Arc::ptr_eq(&a.algos[0], &b.algos[0]));
+        assert!(Arc::ptr_eq(&a.procs[0].algo, &b.procs[0].algo));
     }
 
     /// Drives `root` to quiescence, always firing the eligible event with
@@ -1777,9 +1861,9 @@ mod tests {
                 for seed in [0x9e37, 0x51ed, 0xc0ffee, 0xdecade] {
                     let (end, trace, times, delays) = drive_fifo(root, seed);
                     let processes: Vec<Box<dyn MpProcess<SessionMsg>>> = root
-                        .algos
+                        .procs
                         .iter()
-                        .map(|a| Box::new(MpAlgo::clone(a)) as Box<dyn MpProcess<SessionMsg>>)
+                        .map(|p| Box::new(MpAlgo::clone(&p.algo)) as Box<dyn MpProcess<SessionMsg>>)
                         .collect();
                     let ports = (0..root.n)
                         .map(|i| (ProcessId::new(i), PortId::new(i)))

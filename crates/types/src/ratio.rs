@@ -192,7 +192,15 @@ impl Ratio {
     }
 
     /// Checked addition; `None` on `i128` overflow.
+    ///
+    /// Two integers (the common case: every timing constant at the
+    /// checker's scopes is one) add their numerators directly, with no
+    /// cross-multiplication and no gcd; the sum of integers is already in
+    /// lowest terms.
     pub fn checked_add(self, other: Ratio) -> Option<Ratio> {
+        if self.den == 1 && other.den == 1 {
+            return Some(Ratio::from_int(self.num.checked_add(other.num)?));
+        }
         let num = self
             .num
             .checked_mul(other.den)?
@@ -326,6 +334,11 @@ impl PartialOrd for Ratio {
 
 impl Ord for Ratio {
     fn cmp(&self, other: &Ratio) -> Ordering {
+        // Equal (positive) denominators order like their numerators; this
+        // covers every pair of integers.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         // Denominators are positive, so cross-multiplication preserves order.
         let lhs = self
             .num
