@@ -32,6 +32,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use session_analyzer::diag::ALL_CODES;
+use session_analyzer::explore::SessionCounter;
 use session_analyzer::{
     analyze_trace_jsonl, scoped_target_space, target_names, target_space, ExploreOpts, FlightOpts,
     LintCode, LintConfig, Report, Severity,
@@ -209,6 +210,12 @@ targets: the ten paper algorithms (clean) and three naive witnesses
                         .map_err(|_| bad(&format!("n= wants a process count, got `{value}`")))?;
                     if parsed == 0 {
                         return Err(bad("n=0 is meaningless; pass n=1 or more"));
+                    }
+                    if parsed > SessionCounter::MAX_PORTS {
+                        return Err(bad(&format!(
+                            "n={parsed} is too large; the explorer tracks at most {} ports",
+                            SessionCounter::MAX_PORTS
+                        )));
                     }
                     n = Some(parsed);
                 }
@@ -609,13 +616,21 @@ mod tests {
         assert!(AnalyzeConfig::parse(["trace=run.jsonl", "profile=p.json"]).is_err());
         assert!(AnalyzeConfig::parse(["trace=run.jsonl", "progress=on"]).is_err());
         // Malformed values are usage errors.
-        for bad in ["n=0", "n=two", "s=0", "progress=maybe"] {
+        for bad in ["n=0", "n=two", "n=65", "s=0", "progress=maybe"] {
             let err = AnalyzeConfig::parse(["PeriodicMp", bad]).unwrap_err();
             assert!(
                 err.to_string().contains("usage: session-cli analyze"),
                 "`{bad}` should fail with usage, got: {err}"
             );
         }
+        // The explorer's port sets are 64-bit masks: n=65 names the limit
+        // instead of panicking, and n=64 still parses.
+        let err = AnalyzeConfig::parse(["PeriodicMp", "n=65"]).unwrap_err();
+        assert!(err.to_string().contains("at most 64 ports"), "{err}");
+        assert_eq!(
+            AnalyzeConfig::parse(["PeriodicMp", "n=64"]).unwrap().n,
+            Some(64)
+        );
     }
 
     #[test]
