@@ -43,8 +43,9 @@ use session_obs::{NullRecorder, Recorder};
 use session_types::Dur;
 
 use crate::diag::LintCode;
-use crate::machine::{GapMode, Menu, MpMachine, SmMachine, StepInfo};
+use crate::machine::{with_menu, GapMode, Menu, MpMachine, SmMachine, StepInfo};
 use crate::profile::{ExploreProfile, FlightOpts, ProgressBatch, WorkerProfile};
+use crate::replay::{replay, Counterexample};
 use crate::scope::Scope;
 use crate::walk::{Counts, Edge, Expansion, Space, Walk};
 use crate::zones::ExplicitReach;
@@ -60,22 +61,25 @@ pub enum AnyMachine {
 }
 
 impl AnyMachine {
-    /// See [`SmMachine::choice_count`].
+    /// The number of admissible transitions from this state. Builds the
+    /// state's menu for this one call, in a per-thread scratch buffer.
     pub fn choice_count(&self) -> usize {
-        match self {
-            AnyMachine::Sm(m) => m.choice_count(),
-            AnyMachine::Mp(m) => m.choice_count(),
-        }
+        with_menu(|menu| {
+            self.build_menu(menu);
+            menu.choice_count()
+        })
     }
 
-    /// See [`SmMachine::apply`]. Builds the state's menu for this one
-    /// call; the explorers build it once per state instead
-    /// ([`AnyMachine::build_menu`], [`AnyMachine::apply_menu`]).
+    /// Applies transition `choice` (must be `< choice_count()`), recording
+    /// it into `trace` when one is given. Builds the state's menu for this
+    /// one call; the explorers and [`crate::replay::replay`] build it once
+    /// per state instead ([`AnyMachine::build_menu`],
+    /// [`AnyMachine::apply_menu`]).
     pub fn apply(&mut self, choice: usize, trace: Option<&mut session_sim::Trace>) -> StepInfo {
-        match self {
-            AnyMachine::Sm(m) => m.apply(choice, trace),
-            AnyMachine::Mp(m) => m.apply(choice, trace),
-        }
+        with_menu(|menu| {
+            self.build_menu(menu);
+            self.apply_menu(menu, choice, trace)
+        })
     }
 
     /// Fills `menu` with this state's choice menu.
@@ -87,11 +91,25 @@ impl AnyMachine {
     }
 
     /// Applies `choice` from `menu`, which must have been built from this
-    /// state (the parent a child was cloned from).
-    pub(crate) fn apply_menu(&mut self, menu: &Menu, choice: usize) -> StepInfo {
+    /// state (the parent a child was cloned from), recording the event
+    /// into `trace` when one is given, exactly as the engine would.
+    pub(crate) fn apply_menu(
+        &mut self,
+        menu: &Menu,
+        choice: usize,
+        trace: Option<&mut session_sim::Trace>,
+    ) -> StepInfo {
         match self {
-            AnyMachine::Sm(m) => m.apply_menu(menu, choice, None),
-            AnyMachine::Mp(m) => m.apply_menu(menu, choice, None),
+            AnyMachine::Sm(m) => m.apply_menu(menu, choice, trace),
+            AnyMachine::Mp(m) => m.apply_menu(menu, choice, trace),
+        }
+    }
+
+    /// The number of processes, relays included (a trace's width).
+    pub(crate) fn num_processes(&self) -> usize {
+        match self {
+            AnyMachine::Sm(m) => m.algos().len(),
+            AnyMachine::Mp(m) => m.num_processes(),
         }
     }
 
@@ -275,10 +293,8 @@ impl SessionCounter {
 /// A lint rule fired during exploration.
 #[derive(Clone, Debug)]
 pub struct FoundViolation {
-    /// Which rule.
+    /// Which rule the search recorded.
     pub code: LintCode,
-    /// One-line description.
-    pub message: String,
     /// The branch choices leading from the root to the violation —
     /// replaying them through a clone of the root machine reproduces it
     /// exactly.
@@ -286,6 +302,11 @@ pub struct FoundViolation {
     /// Index of the root (first-step / period assignment) the violation
     /// was found under.
     pub root: usize,
+    /// The one walk of `path` after the search: the finding's message,
+    /// session count, end state, trace and step script. Its `code` equals
+    /// [`FoundViolation::code`] unless the checker is at fault, which
+    /// [`crate::replay::self_check`] reports.
+    pub counterexample: Counterexample,
 }
 
 /// Which reduction layers the explorer applies, and how many worker
@@ -607,8 +628,8 @@ impl Witnesses {
         }
     }
 
-    /// The violations the witnesses show, each message taken from a
-    /// [`rewalk`] of its path, and the wall time the re-walks took.
+    /// The violations the witnesses show, each with the one [`replay`]
+    /// walk of its path, and the wall time the walks took.
     pub(crate) fn violations(
         self,
         roots: &[AnyMachine],
@@ -620,48 +641,15 @@ impl Witnesses {
         let violations = self
             .found
             .into_iter()
-            .map(|(code, root, path)| {
-                let (found, message, _) = rewalk(&roots[root], n, s, &path);
-                debug_assert_eq!(found, code, "re-walk of root {root} path {path:?}");
-                FoundViolation {
-                    code,
-                    message,
-                    path,
-                    root,
-                }
+            .map(|(code, root, path)| FoundViolation {
+                counterexample: replay(&roots[root], n, s, &path),
+                code,
+                path,
+                root,
             })
             .collect();
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         (violations, nanos)
-    }
-}
-
-/// Re-walks a witness `path` from `root`, taking the steps
-/// [`make_child`] takes, and returns the finding it ends in — the code
-/// and message of the edge's [`check_step`] lint, of the quiescent
-/// leaf's [`session_deficit`] or of the [`LASSO`] its last edge closes —
-/// with the incremental session count along it.
-pub(crate) fn rewalk(
-    root: &AnyMachine,
-    n: usize,
-    s: u64,
-    path: &[usize],
-) -> (LintCode, String, u64) {
-    let mut machine = root.clone();
-    let mut counter = SessionCounter::new(n, s);
-    let mut menu = Menu::default();
-    for &choice in path {
-        machine.build_menu(&mut menu);
-        let info = machine.apply_menu(&menu, choice);
-        counter.observe(&info);
-        if let Some((code, message)) = check_step(&info, &machine, &counter) {
-            return (code, message, counter.sessions());
-        }
-    }
-    let sessions = counter.sessions();
-    match session_deficit(&counter, s) {
-        Some(message) if machine.is_quiescent() => (LintCode::SessionDeficit, message, sessions),
-        _ => (LintCode::NonTermination, LASSO.to_string(), sessions),
     }
 }
 
@@ -688,7 +676,7 @@ pub(crate) fn make_child(
     choice: usize,
 ) -> Child {
     let mut next = machine.clone();
-    let info = next.apply_menu(menu, choice);
+    let info = next.apply_menu(menu, choice, None);
     let next_counter = info.port.is_some().then(|| {
         let mut cloned = counter.clone();
         cloned.observe(&info);

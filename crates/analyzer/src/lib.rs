@@ -44,8 +44,9 @@
 //! canonicalization, and [`partition`] scales that search across worker
 //! threads through a shared claim table, with verdicts and counters
 //! bit-identical to the serial path; [`dbm`] and [`zones`] form the
-//! symbolic engine; [`replay`] re-executes counterexample paths (through
-//! the real `SmEngine` for shared memory) and renders them as timelines;
+//! symbolic engine; [`replay`] walks each counterexample path once for
+//! its message, session count and trace, self-checks it (through the
+//! real `SmEngine` for shared memory) and renders it as a timeline;
 //! [`targets`] names the thirteen analysis targets; [`hb`] analyzes
 //! recorded traces; [`diag`] defines the stable lint codes and report
 //! formats.

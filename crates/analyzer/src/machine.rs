@@ -420,16 +420,11 @@ impl SmMachine {
         (0..self.statics.n_ports).all(|p| self.algos[p].is_idle())
     }
 
-    /// The number of admissible transitions from this state.
-    pub fn choice_count(&self) -> usize {
-        let t = self.t_min();
-        self.due.iter().filter(|&&due| due == t).count() * self.statics.gaps.menu_len()
-    }
-
-    /// The step body shared by [`SmMachine::apply`] and the zone walker's
-    /// time-free stepping: access the target variable, step the process,
-    /// write the result back. Leaves `due` untouched so both callers can
-    /// schedule (or symbolically constrain) the next step their own way.
+    /// The step body shared by [`SmMachine::apply_menu`] and the zone
+    /// walker's time-free stepping: access the target variable, step the
+    /// process, write the result back. Leaves `due` untouched so both
+    /// callers can schedule (or symbolically constrain) the next step
+    /// their own way.
     fn perform_step(&mut self, p: usize, now: Time) -> (StepInfo, VarId) {
         let was_idle = self.algos[p].is_idle();
         let var = self.algos[p].target();
@@ -457,16 +452,9 @@ impl SmMachine {
         (info, var)
     }
 
-    /// Applies transition `choice` (must be `< choice_count()`). When
-    /// `trace` is given, records the step exactly as the engine would.
-    pub fn apply(&mut self, choice: usize, trace: Option<&mut session_sim::Trace>) -> StepInfo {
-        with_menu(|menu| {
-            self.build_menu(menu);
-            self.apply_menu(menu, choice, trace)
-        })
-    }
-
-    /// [`SmMachine::apply`] from this state's already built `menu`.
+    /// Applies transition `choice` of this state's built `menu` (must be
+    /// `< menu.choice_count()`). When `trace` is given, records the step
+    /// exactly as the engine would.
     pub(crate) fn apply_menu(
         &mut self,
         menu: &Menu,
@@ -512,10 +500,10 @@ impl SmMachine {
     }
 
     /// Fires process `p`'s step for the zone walker: identical discrete
-    /// semantics to [`SmMachine::apply`] (shared body), but no concrete
-    /// time and no `due` bookkeeping — the walker's DBM carries the
-    /// schedule. The returned events are the clocks to (re)schedule: the
-    /// stepping process's own next step.
+    /// semantics to [`SmMachine::apply_menu`] (shared body), but no
+    /// concrete time and no `due` bookkeeping — the walker's DBM carries
+    /// the schedule. The returned events are the clocks to (re)schedule:
+    /// the stepping process's own next step.
     pub(crate) fn zone_apply(&mut self, ev: ZoneEvent) -> (StepInfo, Vec<ZoneEvent>) {
         let ZoneEvent::Step(p) = ev else {
             unreachable!("shared-memory machines have no deliveries");
@@ -791,11 +779,12 @@ impl Menu {
     }
 }
 
-/// Runs `f` on this thread's scratch [`Menu`], for the one-off `apply`
-/// and `choice_count` wrappers (the explorers keep their own buffers).
-/// The menu is moved out for the call and cleared after it, so no
-/// outcome outlives the call and a nested call starts from empty.
-fn with_menu<R>(f: impl FnOnce(&mut Menu) -> R) -> R {
+/// Runs `f` on this thread's scratch [`Menu`], for the one-off
+/// [`AnyMachine::apply`](crate::explore::AnyMachine::apply) and
+/// `choice_count` wrappers (the explorers and the witness walk keep their
+/// own buffers). The menu is moved out for the call and cleared after it,
+/// so no outcome outlives the call and a nested call starts from empty.
+pub(crate) fn with_menu<R>(f: impl FnOnce(&mut Menu) -> R) -> R {
     thread_local! {
         static MENU: Cell<Menu> = Cell::new(Menu::default());
     }
@@ -1081,14 +1070,6 @@ impl MpMachine {
         }
     }
 
-    /// The number of admissible transitions from this state.
-    pub fn choice_count(&self) -> usize {
-        with_menu(|menu| {
-            self.build_menu(menu);
-            menu.choice_count()
-        })
-    }
-
     /// Whether the delay menu contains zero — a broadcast can then enable
     /// same-instant deliveries.
     pub(crate) fn has_zero_delay(&self) -> bool {
@@ -1144,18 +1125,10 @@ impl MpMachine {
         }
     }
 
-    /// Applies transition `choice` (must be `< choice_count()`). When
-    /// `trace` is given, records the event exactly as the engine would
-    /// (sends in recipient order before the step event, delivery records
-    /// on arrival).
-    pub fn apply(&mut self, choice: usize, trace: Option<&mut session_sim::Trace>) -> StepInfo {
-        with_menu(|menu| {
-            self.build_menu(menu);
-            self.apply_menu(menu, choice, trace)
-        })
-    }
-
-    /// [`MpMachine::apply`] from this state's already built `menu`.
+    /// Applies transition `choice` of this state's built `menu` (must be
+    /// `< menu.choice_count()`). When `trace` is given, records the event
+    /// exactly as the engine would (sends in recipient order before the
+    /// step event, delivery records on arrival).
     pub(crate) fn apply_menu(
         &mut self,
         menu: &Menu,
@@ -1639,17 +1612,23 @@ mod tests {
         )
     }
 
+    fn sm_menu(machine: &SmMachine) -> Menu {
+        let mut menu = Menu::default();
+        machine.build_menu(&mut menu);
+        menu
+    }
+
     #[test]
     fn sm_machine_steps_and_quiesces() {
         let mut machine = sync_sm_machine(2, 1);
         assert!(!machine.is_quiescent());
         // One gap, all processes due together: one choice per process.
-        assert_eq!(machine.choice_count(), machine.algos().len());
-        let info = machine.apply(0, None);
+        assert_eq!(sm_menu(&machine).choice_count(), machine.algos().len());
+        let info = machine.apply_menu(&sm_menu(&machine), 0, None);
         assert!(info.is_process_step);
         assert_eq!(info.port, Some(PortId::new(0)));
         assert!(info.idle_after, "s = 1: one step and the port idles");
-        let info = machine.apply(0, None);
+        let info = machine.apply_menu(&sm_menu(&machine), 0, None);
         assert_eq!(info.port, Some(PortId::new(1)));
         assert!(machine.is_quiescent(), "both ports idle");
     }
@@ -1657,14 +1636,13 @@ mod tests {
     #[test]
     fn sm_relay_steps_are_not_port_steps() {
         let mut machine = sync_sm_machine(2, 1);
-        let mut menu = Menu::default();
-        machine.build_menu(&mut menu);
+        let menu = sm_menu(&machine);
         let relay_choice = menu
             .events()
             .iter()
             .position(|e| e.at >= 2)
             .expect("tree has a relay");
-        let info = machine.apply(relay_choice, None);
+        let info = machine.apply_menu(&menu, relay_choice, None);
         assert_eq!(info.port, None);
         assert!(!info.idle_after, "relays never idle");
     }
@@ -1697,18 +1675,24 @@ mod tests {
         )
     }
 
+    fn mp_menu(machine: &MpMachine) -> Menu {
+        let mut menu = Menu::default();
+        machine.build_menu(&mut menu);
+        menu
+    }
+
     #[test]
     fn mp_broadcasting_step_fans_out_gap_and_delay_choices() {
         let machine = sporadic_mp_machine(3);
         // Both processes due at t=1, each broadcasts: 2 gaps × 2² delay
         // combos = 8 choices each.
-        assert_eq!(machine.choice_count(), 16);
+        assert_eq!(mp_menu(&machine).choice_count(), 16);
     }
 
     #[test]
     fn mp_apply_creates_deliveries_then_next_step() {
         let mut machine = sporadic_mp_machine(3);
-        let info = machine.apply(0, None);
+        let info = machine.apply_menu(&mp_menu(&machine), 0, None);
         assert!(info.is_process_step);
         assert_eq!(info.port, Some(PortId::new(0)));
         // p0 stepped and broadcast to both: 2 deliveries + p0's next step
@@ -1722,9 +1706,8 @@ mod tests {
         let mut machine = sporadic_mp_machine(3);
         // Fire p0's step with delay combo 0 (both deliveries at delay 0,
         // i.e. due immediately).
-        let _ = machine.apply(0, None);
-        let mut menu = Menu::default();
-        machine.build_menu(&mut menu);
+        let _ = machine.apply_menu(&mp_menu(&machine), 0, None);
+        let menu = mp_menu(&machine);
         let deliveries = menu
             .events()
             .iter()
@@ -1741,7 +1724,7 @@ mod tests {
             .expect("a delivery is eligible");
         let first_delivery = menu.range(first).start;
         assert_eq!(first_delivery, 8);
-        let info = machine.apply(first_delivery, None);
+        let info = machine.apply_menu(&menu, first_delivery, None);
         assert!(!info.is_process_step);
         let inboxes = machine.procs.iter().map(|p| p.inbox.len());
         assert_eq!(inboxes.sum::<usize>(), 1);
@@ -1751,8 +1734,8 @@ mod tests {
     fn mp_state_hash_ignores_insertion_sequence() {
         let mut a = sporadic_mp_machine(3);
         let mut b = sporadic_mp_machine(3);
-        let _ = a.apply(0, None);
-        let _ = b.apply(0, None);
+        let _ = a.apply_menu(&mp_menu(&a), 0, None);
+        let _ = b.apply_menu(&mp_menu(&b), 0, None);
         // Renumber b's sequences: the hash must not change.
         for pending in &mut b.pending {
             pending.seq += 1000;
@@ -1766,8 +1749,7 @@ mod tests {
     #[test]
     fn mp_broadcasting_step_is_taken_once_for_all_its_children() {
         let machine = sporadic_mp_machine(3);
-        let mut menu = Menu::default();
-        machine.build_menu(&mut menu);
+        let menu = mp_menu(&machine);
         let block = menu.range(0);
         assert!(matches!(
             menu.events()[0].kind,

@@ -23,10 +23,10 @@
 //!   The replay also records each lint code's first witness (code, root,
 //!   path) where the serial explorer does: at the pruned edge, the
 //!   quiescent-deficit edge (quiescent roots in root order) or the
-//!   lasso. Each witness path is then re-walked once from its root for
-//!   its message ([`crate::explore::rewalk`]), so codes, roots, paths,
-//!   messages and their order match `threads = 1` with no second walk
-//!   of the space.
+//!   lasso. Each witness path is then walked once from its root
+//!   ([`crate::replay::replay`]) for its message, session count and
+//!   trace, so codes, roots, paths, messages and their order match
+//!   `threads = 1` with no second walk of the space.
 //!
 //! # Exactness: the replay pass and the two-key scheme
 //!

@@ -247,9 +247,9 @@ pub struct ExploreProfile {
     pub phase_a_ns: u64,
     /// Serial replay over the logged key-graph, wall clock.
     pub replay_ns: u64,
-    /// Witness re-walks wall clock: each recorded witness path walked
-    /// again from its root for its message (the slot keeps the name of
-    /// the serial witness walk it replaced).
+    /// Witness walks wall clock: each recorded witness path walked once
+    /// from its root for its message, session count and trace (the slot
+    /// keeps the name of the serial witness walk it replaced).
     pub phase_b_ns: u64,
     /// One entry per worker.
     pub workers: Vec<WorkerProfile>,

@@ -39,7 +39,7 @@ use session_smm::TreeSpec;
 use session_types::{Dur, KnownBounds, ProcessId, SessionSpec, Time, TimingModel, VarId};
 
 use crate::diag::{Diagnostic, LintCode, Report, TargetSummary};
-use crate::explore::{explicit_control_reach, explore_flight, rewalk, AnyMachine, ExploreOpts};
+use crate::explore::{explicit_control_reach, explore_flight, AnyMachine, ExploreOpts};
 use crate::machine::{assignments, sm_system_algos, GapMode, MpAlgo, MpMachine, SmAlgo, SmMachine};
 use crate::profile::{ExploreProfile, FlightOpts};
 use crate::replay;
@@ -91,7 +91,7 @@ pub struct TargetSpace {
 impl TargetSpace {
     /// The explicit pipeline: explores this space under `opts` (see
     /// [`explore_flight`] for what reaches `recorder` and `flight`),
-    /// reconstructs and self-checks a counterexample for every violation,
+    /// renders and self-checks the counterexample every violation carries,
     /// and returns the report with the exploration's summary row. The
     /// second return is the exploration's [`ExploreProfile`] (target name
     /// filled in) when `flight.profile` asked for one; the report is
@@ -126,20 +126,16 @@ impl TargetSpace {
         });
         for violation in &exploration.violations {
             let root = &self.roots[violation.root];
-            let counterexample = replay::replay(root, &violation.path);
-            // The explorer's count is only the full-trace count at a quiescent
-            // leaf; mid-path violations skip the counter cross-check.
-            let expected = (violation.code == LintCode::SessionDeficit)
-                .then(|| rewalk(root, self.scope.n, self.scope.s, &violation.path).2);
-            let problems = replay::self_check(root, &counterexample, &self.bounds, expected);
+            let counterexample = &violation.counterexample;
+            let problems = replay::self_check(root, violation.code, counterexample, &self.bounds);
             let repro = replay::repro_string(violation.root, &violation.path);
             report.findings.push(Diagnostic {
                 code: violation.code,
                 target: self.name.to_string(),
-                message: violation.message.clone(),
+                message: counterexample.message.clone(),
                 scope: self.scope.describe(),
                 repro: repro.clone(),
-                counterexample: replay::render(&counterexample, RENDER_LINES),
+                counterexample: replay::render(counterexample, RENDER_LINES),
             });
             // A failed self-check means the checker's model drifted from the
             // system itself: report it loudly rather than trusting the finding.

@@ -97,7 +97,7 @@ fn corrected_sporadic_mp_is_clean_at_the_same_scope() {
         exploration
             .violations
             .iter()
-            .map(|v| format!("{} {}", v.code, v.message))
+            .map(|v| format!("{} {}", v.code, v.counterexample.message))
             .collect::<Vec<_>>()
     );
     assert!(exploration.states > 0);

@@ -71,7 +71,7 @@ fn findings(exploration: &Exploration) -> Vec<(String, usize, Vec<usize>, String
                 v.code.code().to_owned(),
                 v.root,
                 v.path.clone(),
-                v.message.clone(),
+                v.counterexample.message.clone(),
             )
         })
         .collect()

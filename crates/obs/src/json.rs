@@ -180,26 +180,18 @@ impl JsonWriter {
     }
 }
 
-/// Checks that `input` is exactly one well-formed JSON value.
+/// Checks that `input` is exactly one well-formed JSON value: [`parse`]
+/// with the value dropped.
 ///
-/// A recursive-descent skimmer used by the exporter tests and the golden
-/// tests to assert that generated output parses (the workspace has no
-/// JSON parsing dependency). It validates structure, string escapes and
-/// number syntax; it does not build a value tree.
+/// The exporter tests and the golden tests use it to assert that
+/// generated output parses (the workspace has no JSON parsing
+/// dependency).
 ///
 /// # Errors
 ///
 /// Returns a description with a byte offset for the first syntax error.
 pub fn validate(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    skip_ws(bytes, &mut pos);
-    skim_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+    parse(input).map(drop)
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -221,95 +213,6 @@ fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn skim_value(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    match bytes.get(*pos) {
-        Some(b'{') => skim_object(bytes, pos),
-        Some(b'[') => skim_array(bytes, pos),
-        Some(b'"') => skim_string(bytes, pos),
-        Some(b't') => skim_literal(bytes, pos, "true"),
-        Some(b'f') => skim_literal(bytes, pos, "false"),
-        Some(b'n') => skim_literal(bytes, pos, "null"),
-        Some(b'-' | b'0'..=b'9') => skim_number(bytes, pos),
-        Some(&b) => Err(format!("unexpected {:?} at byte {}", b as char, *pos)),
-        None => Err(format!("unexpected end of input at byte {}", *pos)),
-    }
-}
-
-fn skim_object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(bytes, pos, b'{')?;
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        skim_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        skip_ws(bytes, pos);
-        skim_value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn skim_array(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(bytes, pos, b'[')?;
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        skim_value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn skim_string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(bytes, pos, b'"')?;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => match bytes.get(*pos + 1) {
-                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
-                Some(b'u') => {
-                    let hex = bytes.get(*pos + 2..*pos + 6);
-                    if hex.is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) {
-                        *pos += 6;
-                    } else {
-                        return Err(format!("bad \\u escape at byte {}", *pos));
-                    }
-                }
-                _ => return Err(format!("bad escape at byte {}", *pos)),
-            },
-            0x00..=0x1f => return Err(format!("raw control character at byte {}", *pos)),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
 fn skim_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
@@ -319,6 +222,8 @@ fn skim_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> 
     }
 }
 
+/// Skips one number: RFC 8259's `-? int frac? exp?`, where `int` is `0`
+/// or a digit string without a leading zero.
 fn skim_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
@@ -331,7 +236,8 @@ fn skim_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
         }
         *pos > before
     };
-    if !digits(bytes, pos) {
+    let int_start = *pos;
+    if !digits(bytes, pos) || (bytes[int_start] == b'0' && *pos - int_start > 1) {
         return Err(format!("bad number at byte {start}"));
     }
     if bytes.get(*pos) == Some(&b'.') {
@@ -558,8 +464,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     *pos += 2;
                 }
                 Some(b'u') => {
+                    // Exactly four hex digits: `from_str_radix` alone
+                    // would also take a leading `+`.
                     let hex = bytes
                         .get(*pos + 2..*pos + 6)
+                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                         .and_then(|h| std::str::from_utf8(h).ok())
                         .and_then(|h| u32::from_str_radix(h, 16).ok())
                         .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
@@ -650,6 +559,10 @@ mod tests {
             r#"{"a":[1,-2.5,3e4,"x\n",true,false,null],"b":{"c":"é"}}"#,
             " { \"k\" : [ 1 , 2 ] } ",
             "42",
+            "0",
+            "-0.5e-3",
+            "[0,10,-0,100.0]",
+            r#""\u0041\u00e9""#,
             r#""lone string""#,
         ] {
             validate(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
@@ -671,6 +584,14 @@ mod tests {
             r#""bad \q escape""#,
             "nul",
             "{\"a\":\"\u{1}\"}",
+            r#""\u+041""#,
+            r#""\u12""#,
+            "01",
+            "-01",
+            "[00]",
+            "-",
+            "1.",
+            "1e",
         ] {
             assert!(validate(bad).is_err(), "accepted {bad:?}");
         }
