@@ -17,8 +17,6 @@ use session_sim::{FixedPeriods, RunLimits, SlowProcess};
 use session_smm::{JoinSemiLattice, Knowledge, PortBinding, SmEngine, SmProcess, TreeSpec};
 use session_types::{Dur, Error, KnownBounds, PortId, ProcessId, Result, SessionSpec, Time, VarId};
 
-use crate::retime::block_constant;
-
 /// A shared-memory port process that takes `s` port steps and idles without
 /// any communication — correct in the synchronous model, a lower-bound
 /// witness everywhere else.
@@ -407,12 +405,6 @@ pub fn sporadic_mp_demo(d2: Dur, limits: RunLimits) -> Result<LowerBoundDemo> {
         correct_running_time: honest_outcome.trace.all_idle_time(port_ids),
         s: 3,
     })
-}
-
-/// The block constant `B = min(⌊c2/2c1⌋, ⌊log_b n⌋)` of Theorem 5.1,
-/// re-exported for reporting.
-pub fn semisync_block_constant(spec: &SessionSpec, c1: Dur, c2: Dur) -> u64 {
-    block_constant(spec, c1, c2)
 }
 
 #[cfg(test)]

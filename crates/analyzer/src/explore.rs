@@ -27,12 +27,10 @@
 //! skipped, which keeps depth-limited exploration polynomial in the
 //! number of reachable states.
 //!
-//! Two optional reduction layers, both off by default
-//! ([`ExploreOpts`]), shrink the explored space without changing any
-//! verdict: [`crate::por`] selects an ample subset of each state's choice
-//! menu, and [`crate::symmetry`] canonicalizes states of identity-free
-//! message-passing targets under process permutation before the memo
-//! lookup. [`Exploration::stats`] reports what they saved.
+//! One optional reduction layer, off by default ([`ExploreOpts`]),
+//! shrinks the explored space without changing any verdict:
+//! [`crate::por`] selects an ample subset of each state's choice menu.
+//! [`Exploration::stats`] reports what it saved.
 
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
@@ -44,12 +42,12 @@ use session_types::Dur;
 
 use crate::diag::LintCode;
 use crate::machine::{with_menu, GapMode, Menu, MpMachine, SmMachine, StepInfo};
+use crate::por;
 use crate::profile::{ExploreProfile, FlightOpts, ProgressBatch, WorkerProfile};
 use crate::replay::{replay, Counterexample};
 use crate::scope::Scope;
 use crate::walk::{Counts, Edge, Expansion, Space, Walk};
 use crate::zones::ExplicitReach;
-use crate::{por, symmetry};
 
 /// Either machine, so the explorer and replayer are substrate-agnostic.
 #[derive(Clone, Debug)]
@@ -262,32 +260,6 @@ impl SessionCounter {
     pub(crate) fn is_idle(&self, p: usize) -> bool {
         self.idle & 1 << p != 0
     }
-
-    /// Hashes the counter as it would look after renaming process/port `i`
-    /// to `sigma[i]` (MP targets only: port ids coincide with process
-    /// ids there, so one permutation renames both): the hash of
-    /// [`SessionCounter::renamed`], which allocates nothing.
-    pub(crate) fn hash_permuted<H: Hasher>(&self, sigma: &[usize], hasher: &mut H) {
-        self.renamed(sigma).hash(hasher);
-    }
-
-    /// The counter after renaming process/port `i` to `sigma[i]`, as
-    /// [`SessionCounter::hash_permuted`] sees it (for auditing symmetry
-    /// keys against full state encodings).
-    pub fn renamed(&self, sigma: &[usize]) -> SessionCounter {
-        let rename = |mask: u64| {
-            sigma
-                .iter()
-                .enumerate()
-                .filter(|&(p, _)| mask & 1 << p != 0)
-                .fold(0u64, |renamed, (_, &to)| renamed | 1 << to)
-        };
-        SessionCounter {
-            covered: rename(self.covered),
-            idle: rename(self.idle),
-            ..*self
-        }
-    }
 }
 
 /// A lint rule fired during exploration.
@@ -309,18 +281,14 @@ pub struct FoundViolation {
     pub counterexample: Counterexample,
 }
 
-/// Which reduction layers the explorer applies, and how many worker
-/// threads it runs. Reductions default to off and threads to 1, so every
+/// Whether the explorer applies partial-order reduction, and how many
+/// worker threads it runs. POR defaults to off and threads to 1, so every
 /// historical verdict is reproduced bit for bit unless a caller opts in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExploreOpts {
     /// Partial-order reduction: expand only an ample subset of each
     /// state's choice menu (see [`crate::por`]).
     pub por: bool,
-    /// Symmetry reduction: canonicalize identity-free MP states under
-    /// process permutation before the memo lookup (see
-    /// [`crate::symmetry`]).
-    pub symmetry: bool,
     /// Worker threads. `1` (the default) runs the classic serial DFS;
     /// `> 1` runs the claim-table parallel explorer in
     /// [`crate::partition`], whose findings *and counters* are
@@ -333,31 +301,28 @@ impl Default for ExploreOpts {
     fn default() -> ExploreOpts {
         ExploreOpts {
             por: false,
-            symmetry: false,
             threads: 1,
         }
     }
 }
 
 impl ExploreOpts {
-    /// Every reduction on (still single-threaded).
+    /// Partial-order reduction on (still single-threaded).
     pub fn reduced() -> ExploreOpts {
         ExploreOpts {
             por: true,
-            symmetry: true,
             threads: 1,
         }
     }
 }
 
-/// What the reduction layers saved during one exploration. All zeros when
-/// both layers are off (the memo-hit counter is tracked either way).
+/// What the reduction layer saved during one exploration. `pruned` is
+/// zero when POR is off (the memo-hit counter is tracked either way).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReductionStats {
     /// Successor choices skipped by the ample-set selector.
     pub pruned: u64,
-    /// Memo-table hits (revisits of an already fully explored state —
-    /// with symmetry on, of any state in its orbit).
+    /// Memo-table hits (revisits of an already fully explored state).
     pub memo_hits: u64,
 }
 
@@ -377,7 +342,7 @@ pub struct Exploration {
     pub truncated: bool,
     /// How many paths were cut at the depth budget.
     pub depth_hits: u64,
-    /// What the reduction layers saved.
+    /// What the reduction layer saved.
     pub stats: ReductionStats,
 }
 
@@ -398,7 +363,7 @@ impl Exploration {
 }
 
 /// Exhaustively explores every root machine, sharing the memo across
-/// roots, with reduction layers enabled per `opts`. `s` is the required
+/// roots, with partial-order reduction enabled per `opts`. `s` is the required
 /// session count, `n` the number of ports, `max_depth` the per-path event
 /// budget.
 pub fn explore_with_opts(
@@ -484,7 +449,6 @@ pub fn explore_flight(
             threads: 1,
             max_depth,
             por: opts.por,
-            symmetry: opts.symmetry,
             states: counts.states,
             unique_states: memo_entries,
             duplicate_expansions: counts.duplicates,
@@ -519,40 +483,19 @@ pub(crate) fn record_totals(recorder: &mut dyn Recorder, counts: &Counts, starte
     }
 }
 
-/// The (machine × counter) memo key: the symmetry-canonical key when the
-/// reduction is on and the target is eligible, the plain combined
-/// fingerprint otherwise. Shared by the serial explorer and the parallel
-/// explorer's replay so both paths prune identically. Equal keys imply equal
+/// The (machine × counter) state key: the combined fingerprint the
+/// serial explorer memoizes on and the parallel explorer claims, logs and
+/// replays by, so both paths prune identically. Equal keys imply equal
 /// choice menus — [`MpMachine`] keeps its pending events in the canonical
 /// order the hash is computed over, and its menu is their eligible prefix
-/// — so the key is graph-determining: the parallel explorer claims and
-/// logs records by it, and whichever representative of the class a worker
-/// expands first yields the same record any other would have.
-pub(crate) fn state_key(machine: &AnyMachine, counter: &SessionCounter, symmetry: bool) -> u64 {
-    if symmetry {
-        if let Some(canonical) = symmetry::canonical_key(machine, counter) {
-            return canonical;
-        }
-    }
+/// — so the key is graph-determining: whichever representative of the
+/// class a worker expands first yields the same record any other would
+/// have.
+pub fn state_key(machine: &AnyMachine, counter: &SessionCounter) -> u64 {
     let mut hasher = FxHasher::default();
     machine.state_hash().hash(&mut hasher);
     counter.hash(&mut hasher);
     hasher.finish()
-}
-
-/// The (machine × counter) claim key of the parallel explorer: the
-/// plain combined fingerprint, never symmetry-canonicalized. Symmetry
-/// reduction equates permuted states whose choice menus rename processes
-/// differently, so the canonical key is *not* graph-determining — which
-/// permuted representative a worker expanded first would leak into the
-/// logged menu. The plain key is graph-determining, so claims and
-/// record identity use it; the replay pass then collapses orbits under
-/// the memo key ([`state_key`]) exactly where the serial explorer does.
-/// Whenever symmetry is off — or refused for the target, which covers
-/// every identity-carrying algorithm — the two keys are computed
-/// identically and Phase A expands exactly the states serial visits.
-pub fn route_key(machine: &AnyMachine, counter: &SessionCounter) -> u64 {
-    state_key(machine, counter, false)
 }
 
 /// `SA001`'s message when a quiescent state's `counter` closed fewer
@@ -729,7 +672,7 @@ impl Space for Explicit<'_> {
             }
             return None;
         }
-        Some(state_key(&node.machine, &node.counter, self.opts.symmetry))
+        Some(state_key(&node.machine, &node.counter))
     }
 
     fn lasso(&mut self, path: &[usize]) {
@@ -806,8 +749,8 @@ fn walk_roots<'r>(
 }
 
 /// The explicit side of the SA012 cross-check: a serial full-menu walk
-/// (no POR, no symmetry — reductions must not be able to mask a
-/// divergence) collecting the reachable control-hash set.
+/// (no POR — a reduction must not be able to mask a divergence)
+/// collecting the reachable control-hash set.
 pub fn explicit_control_reach(roots: &[AnyMachine], scope: &Scope) -> ExplicitReach {
     let mut recorder = NullRecorder;
     let space = Explicit {
@@ -888,24 +831,5 @@ mod tests {
             counter.observe(&port_step(0, 0, false));
         }
         assert_eq!(counter.sessions(), 2);
-    }
-
-    #[test]
-    fn counter_permuted_hash_is_permutation_sensitive() {
-        let mut counter = SessionCounter::new(3, 5);
-        counter.observe(&port_step(0, 0, false));
-        counter.observe(&port_step(1, 1, true));
-        // Swapping processes 0 and 1 must rename both the covered port
-        // and the idle process.
-        let mut swapped = SessionCounter::new(3, 5);
-        swapped.observe(&port_step(1, 1, false));
-        swapped.observe(&port_step(0, 0, true));
-        let hash = |c: &SessionCounter, sigma: &[usize]| {
-            let mut h = FxHasher::default();
-            c.hash_permuted(sigma, &mut h);
-            h.finish()
-        };
-        assert_eq!(hash(&counter, &[1, 0, 2]), hash(&swapped, &[0, 1, 2]));
-        assert_ne!(hash(&counter, &[0, 1, 2]), hash(&swapped, &[0, 1, 2]));
     }
 }

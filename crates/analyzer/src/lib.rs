@@ -40,10 +40,9 @@
 //! machines with an enumerated branch menu (immutable components interned
 //! behind `Arc`, so forking a branch is cheap); [`explore`] runs a
 //! memoized depth-first search over those branches, optionally through
-//! the [`por`] ample-set selector and the [`symmetry`] state
-//! canonicalization, and [`partition`] scales that search across worker
-//! threads through a shared claim table, with verdicts and counters
-//! bit-identical to the serial path; [`dbm`] and [`zones`] form the
+//! the [`por`] ample-set selector, and [`partition`] scales that search
+//! across worker threads through a shared claim table, with verdicts and
+//! counters bit-identical to the serial path; [`dbm`] and [`zones`] form the
 //! symbolic engine; [`replay`] walks each counterexample path once for
 //! its message, session count and trace, self-checks it (through the
 //! real `SmEngine` for shared memory) and renders it as a timeline;
@@ -65,7 +64,6 @@ pub mod por;
 pub mod profile;
 pub mod replay;
 pub mod scope;
-pub mod symmetry;
 pub mod targets;
 mod walk;
 pub mod zones;

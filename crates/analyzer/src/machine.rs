@@ -45,8 +45,6 @@ use session_mpm::{step_process, Envelope, MpProcess, StepResult};
 use session_smm::{Knowledge, RelayProcess, SmProcess, TreeSpec};
 use session_types::{Dur, MsgId, PortId, ProcessId, Time, VarId};
 
-use crate::symmetry::MAX_PERMUTED;
-
 /// Every shared-memory process the checker can host, as a cloneable value.
 ///
 /// (The engines take `Box<dyn SmProcess>`, which cannot be cloned; the
@@ -189,25 +187,6 @@ impl MpAlgo {
         match self {
             MpAlgo::Sporadic(p) => Some(p.session()),
             _ => None,
-        }
-    }
-
-    /// Whether this process's state mentions no process identities: its
-    /// fingerprint is then invariant under renaming the *other* processes,
-    /// and renaming it moves its whole local state unchanged to the new
-    /// slot. This is the soundness gate for symmetry reduction — processes
-    /// that remember *who* they heard from (`A(p)`'s done-set, `A(a)`'s
-    /// knowledge, `A(sp)`'s evidence) break the permutation automorphism,
-    /// because their stored ids would need rewriting inside an opaque
-    /// fingerprint.
-    pub(crate) fn id_free(&self) -> bool {
-        match self {
-            MpAlgo::Sync(_) | MpAlgo::Naive(_) | MpAlgo::StepCounting(_) => true,
-            MpAlgo::SemiSync(p) => matches!(
-                p.strategy(),
-                session_core::algorithms::MpStrategy::StepCounting
-            ),
-            MpAlgo::Periodic(_) | MpAlgo::Sporadic(_) | MpAlgo::Async(_) => false,
         }
     }
 }
@@ -819,8 +798,6 @@ pub(crate) struct Stepped {
 struct HashScratch {
     /// One inbox's `(sender, value)` entries.
     inbox: Vec<(usize, u64)>,
-    /// Pending events as `(relative time, identity)`.
-    pending: Vec<(Dur, Identity)>,
     /// Pending events without their times.
     identities: Vec<Identity>,
 }
@@ -833,7 +810,6 @@ fn with_scratch<R>(f: impl FnOnce(&mut HashScratch) -> R) -> R {
         static SCRATCH: Cell<HashScratch> = const {
             Cell::new(HashScratch {
                 inbox: Vec::new(),
-                pending: Vec::new(),
                 identities: Vec::new(),
             })
         };
@@ -846,15 +822,14 @@ fn with_scratch<R>(f: impl FnOnce(&mut HashScratch) -> R) -> R {
     })
 }
 
-/// Hashes one inbox as a multiset of `(sender, value)` pairs, senders
-/// renamed through `sigma`. Every hosted algorithm consumes its inbox as a
-/// commutative join (set inserts / lattice joins), so arrival-order
-/// permutations are semantically equivalent states. Hashing them apart
+/// Hashes one inbox as a multiset of `(sender, value)` pairs. Every
+/// hosted algorithm consumes its inbox as a commutative join (set
+/// inserts / lattice joins), so arrival-order permutations are
+/// semantically equivalent states. Hashing them apart
 /// would make delivery interleavings that converge semantically never
 /// converge in the memo.
 fn hash_inbox<H: Hasher>(
     inbox: &[Envelope<SessionMsg>],
-    sigma: impl Fn(usize) -> usize,
     scratch: &mut Vec<(usize, u64)>,
     hasher: &mut H,
 ) {
@@ -862,7 +837,7 @@ fn hash_inbox<H: Hasher>(
     scratch.extend(
         inbox
             .iter()
-            .map(|env| (sigma(env.from.index()), env.payload.value)),
+            .map(|env| (env.from.index(), env.payload.value)),
     );
     scratch.sort_unstable();
     scratch.hash(hasher);
@@ -1081,50 +1056,6 @@ impl MpMachine {
         self.n
     }
 
-    /// Whether every hosted process is identity-free, so the whole system
-    /// is invariant under process permutation (the gate for symmetry
-    /// reduction; see [`MpAlgo::id_free`]).
-    pub(crate) fn symmetric(&self) -> bool {
-        self.procs.iter().all(|p| p.algo.id_free())
-    }
-
-    /// Hashes the state as it would look after renaming process `i` to
-    /// `sigma[i]` — the same normalization as [`MpMachine::state_hash`]
-    /// (relative times, inbox multisets, canonical pending order), with
-    /// every process index routed through `sigma`.
-    pub(crate) fn hash_permuted<H: Hasher>(&self, sigma: &[usize], hasher: &mut H) {
-        debug_assert_eq!(sigma.len(), self.n);
-        let mut inverse = [0usize; MAX_PERMUTED];
-        for (old, &new) in sigma.iter().enumerate() {
-            inverse[new] = old;
-        }
-        let inverse = &inverse[..self.n];
-        let t = self.t_min();
-        with_scratch(|scratch| {
-            for &old in inverse {
-                let proc = &self.procs[old];
-                hasher.write_u64(proc.print);
-                hash_inbox(&proc.inbox, |p| sigma[p], &mut scratch.inbox, hasher);
-            }
-            scratch.pending.clear();
-            scratch.pending.extend(self.pending.iter().map(|e| {
-                let (kind, p, from, value) = e.identity();
-                let from = if kind == 0 { 0 } else { sigma[from] };
-                (e.time - t, (kind, sigma[p], from, value))
-            }));
-            scratch.pending.sort_unstable();
-            hasher.write_usize(scratch.pending.len());
-            for &(time, identity) in &scratch.pending {
-                hash_event(Some(time), identity, hasher);
-            }
-        });
-        if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
-            for &old in inverse {
-                periods[old].hash(hasher);
-            }
-        }
-    }
-
     /// Applies transition `choice` of this state's built `menu` (must be
     /// `< menu.choice_count()`). When `trace` is given, records the event
     /// exactly as the engine would (sends in recipient order before the
@@ -1269,7 +1200,7 @@ impl MpMachine {
         with_scratch(|scratch| {
             for proc in &self.procs {
                 hasher.write_u64(proc.print);
-                hash_inbox(&proc.inbox, |p| p, &mut scratch.inbox, &mut hasher);
+                hash_inbox(&proc.inbox, &mut scratch.inbox, &mut hasher);
             }
         });
         hasher.write_usize(self.pending.len());
@@ -1364,7 +1295,7 @@ impl MpMachine {
         with_scratch(|scratch| {
             for proc in &self.procs {
                 hasher.write_u64(proc.print);
-                hash_inbox(&proc.inbox, |p| p, &mut scratch.inbox, &mut hasher);
+                hash_inbox(&proc.inbox, &mut scratch.inbox, &mut hasher);
             }
             scratch.identities.clear();
             scratch
@@ -1383,30 +1314,25 @@ impl MpMachine {
     }
 
     /// The full state the hashes above compress, rendered component by
-    /// component after renaming process `i` to `sigma[i]`: each process's
-    /// `Debug` rendering, each inbox as a sorted list, the pending count,
-    /// each pending event in canonical order (with its time relative to
-    /// the next event only when `timed`), then the periods. Two states
-    /// with equal encodings under the identity are the same state, and a
-    /// state's encodings over all `sigma` list its symmetry orbit. The
-    /// collision audit (`crates/analyzer/tests/hash_audit.rs`) checks that
-    /// distinct encodings never share a key.
-    pub fn canonical_encoding(&self, sigma: &[usize], timed: bool) -> Vec<String> {
-        assert_eq!(sigma.len(), self.n, "sigma must permute every process");
-        let mut inverse = vec![0usize; self.n];
-        for (old, &new) in sigma.iter().enumerate() {
-            inverse[new] = old;
-        }
+    /// component: each process's `Debug` rendering, each inbox as a
+    /// sorted list, the pending count, each pending event in canonical
+    /// order (with its time relative to the next event only when
+    /// `timed`), then the periods. Two states with equal encodings are the
+    /// same state. The collision audit
+    /// (`crates/analyzer/tests/hash_audit.rs`) checks that distinct
+    /// encodings never share a key.
+    pub fn canonical_encoding(&self, timed: bool) -> Vec<String> {
         let t = self.t_min();
-        let mut parts: Vec<String> = inverse
+        let mut parts: Vec<String> = self
+            .procs
             .iter()
-            .map(|&old| format!("{:?}", self.procs[old].algo))
+            .map(|proc| format!("{:?}", proc.algo))
             .collect();
-        for &old in &inverse {
-            let mut entries: Vec<(usize, u64)> = self.procs[old]
+        for proc in &self.procs {
+            let mut entries: Vec<(usize, u64)> = proc
                 .inbox
                 .iter()
-                .map(|env| (sigma[env.from.index()], env.payload.value))
+                .map(|env| (env.from.index(), env.payload.value))
                 .collect();
             entries.sort_unstable();
             parts.push(format!("inbox {entries:?}"));
@@ -1414,17 +1340,12 @@ impl MpMachine {
         let mut pending: Vec<(Option<Dur>, Identity)> = self
             .pending
             .iter()
-            .map(|e| {
-                let (kind, p, from, value) = e.identity();
-                let from = if kind == 0 { 0 } else { sigma[from] };
-                (timed.then(|| e.time - t), (kind, sigma[p], from, value))
-            })
+            .map(|e| (timed.then(|| e.time - t), e.identity()))
             .collect();
         pending.sort_unstable();
         parts.push(format!("pending {}", pending.len()));
         parts.extend(pending.iter().map(|event| format!("event {event:?}")));
         if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
-            let periods: Vec<Dur> = inverse.iter().map(|&old| periods[old]).collect();
             parts.push(format!("periods {periods:?}"));
         }
         parts

@@ -6,7 +6,7 @@
 //!
 //! * **Phase A — parallel claim walk.** Workers share one visited set,
 //!   the claim table ([`Frontier`]): a worker expanding a state claims
-//!   each open child's [`route_key`], and only the claim's winner keeps
+//!   each open child's [`state_key`], and only the claim's winner keeps
 //!   the child, on its own LIFO stack. Each state is therefore expanded
 //!   exactly once, by whichever worker reached it first, and machines
 //!   cross threads only when a busy worker hands the oldest half of its
@@ -19,7 +19,7 @@
 //!   serial explorer runs — over the logged records, in the serial visit
 //!   order. Every reported number — `states`, `pruned`,
 //!   `memo_hits`, `truncated` — is therefore *the serial explorer's
-//!   number*, at every thread count, for every reduction combination.
+//!   number*, at every thread count, with or without POR.
 //!   The replay also records each lint code's first witness (code, root,
 //!   path) where the serial explorer does: at the pruned edge, the
 //!   quiescent-deficit edge (quiescent roots in root order) or the
@@ -28,32 +28,20 @@
 //!   trace, so codes, roots, paths, messages and their order match
 //!   `threads = 1` with no second walk of the space.
 //!
-//! # Exactness: the replay pass and the two-key scheme
+//! # Exactness: the replay pass and the one key
 //!
 //! The replay argument rests on the record graph being **race-free**:
 //! the record logged for a key must not depend on which worker won its
-//! claim. The memo key ([`crate::explore::state_key`]) equates machines
-//! whose pending queues hold the same multiset in a different order,
-//! which is safe precisely because [`MpMachine`] keeps its pending
-//! events in the canonical order the hash is computed over, and its
-//! choice menu is their eligible prefix — equal hashes mean equal menus,
-//! so every representative of the class expands to the same record and
-//! first-claim is harmless.
-//!
-//! Symmetry reduction is the one layer where the memo key is coarser
-//! than the menu: the canonical key equates *permuted* states whose
-//! menus rename processes differently. Phase A therefore claims and
-//! indexes records by the never-canonicalized [`route_key`], and each
-//! record stores the memo key alongside. The replay walks edges by
-//! route key — reproducing serial's concrete plain-state walk — while
-//! running its memo / on-path sets on the stored memo key, which is
-//! precisely the serial explorer's behavior: memoize the orbit, expand
-//! the concrete representative the walk arrived at. The two keys
-//! coincide whenever symmetry is off or refused for the target (every
-//! identity-carrying algorithm, including the bench headline), so the
-//! extra orbit representatives Phase A expands cost nothing outside
-//! `reduce=symmetry` runs on genuinely symmetric targets; replay skips
-//! their records via the memo, so reported counts stay serial-exact.
+//! claim. The state key ([`state_key`]) equates machines whose pending
+//! queues hold the same multiset in a different order, which is safe
+//! precisely because [`MpMachine`] keeps its pending events in the
+//! canonical order the hash is computed over, and its choice menu is
+//! their eligible prefix — equal hashes mean equal menus, so every
+//! representative of the class expands to the same record and
+//! first-claim is harmless. Phase A claims states by that key, each
+//! record stores it once, and the replay walks and memoizes on it, just
+//! as the serial explorer does: Phase A expands exactly the states the
+//! serial explorer visits.
 //!
 //! [`MpMachine`]: crate::machine::MpMachine
 //!
@@ -70,8 +58,8 @@
 //!   state whose full menu was never logged cannot continue exactly. It
 //!   records the state in a `needs_full` set; the controller re-runs
 //!   Phase A with those states forced to full expansion and replays
-//!   again, to a fixpoint. Acyclic spaces (every `reduce=none` /
-//!   `reduce=symmetry` run, and the bench headline) take one round.
+//!   again, to a fixpoint. Acyclic spaces (every `reduce=none` run,
+//!   and the bench headline) take one round.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -97,13 +85,13 @@ use session_obs::{ProgressBoard, Recorder, TimelineSpan};
 
 use crate::diag::LintCode;
 use crate::explore::{
-    make_child, record_totals, route_key, AnyMachine, Child, Exploration, ExploreOpts,
+    make_child, record_totals, state_key, AnyMachine, Child, Exploration, ExploreOpts,
     SessionCounter, Witnesses,
 };
 use crate::machine::Menu;
+use crate::por;
 use crate::profile::{ExploreProfile, FlightOpts, ProgressBatch, WorkerProfile, FLIGHT_BUFFER_CAP};
 use crate::walk::{Counts, Edge, Expansion, Space, Walk};
-use crate::{por, symmetry};
 
 fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
@@ -118,7 +106,7 @@ const CLAIM_STRIPE_BITS: u32 = 6;
 /// and the termination count. A worker holds at most one of its locks
 /// at a time.
 struct Frontier<T> {
-    /// Every route key claimed this round, striped by its top
+    /// Every state key claimed this round, striped by its top
     /// [`CLAIM_STRIPE_BITS`] bits.
     claims: Vec<Mutex<FxHashSet<u64>>>,
     /// Claimed states handed over to balance load, oldest first.
@@ -347,9 +335,8 @@ struct Claimed {
     machine: AnyMachine,
     counter: SessionCounter,
     depth: usize,
-    /// The plain [`route_key`] — claims, records and the replay walk all
-    /// run on it (never on the symmetry-canonical memo key, which is
-    /// coarser; see the module docs).
+    /// The [`state_key`] — claims, records and the replay walk all run
+    /// on it.
     key: u64,
 }
 
@@ -357,7 +344,7 @@ struct Claimed {
 /// successor record and claims its open children.
 struct Expander<'a> {
     frontier: &'a Frontier<Claimed>,
-    /// States (by route key) whose full menu must be expanded this
+    /// States (by state key) whose full menu must be expanded this
     /// round (POR proviso fixpoint flags). Read-only during the round.
     flagged: &'a FxHashSet<u64>,
     s: u64,
@@ -403,13 +390,6 @@ impl Expander<'_> {
         };
         let record = self.log.len();
         self.log.push(key);
-        // The memo key is the route key unless symmetry canonicalizes
-        // this state, so only a canonicalizing target hashes twice.
-        self.log.push(if self.opts.symmetry {
-            symmetry::canonical_key(&machine, &counter).unwrap_or(key)
-        } else {
-            key
-        });
         self.log.push(0); // meta, patched below
         let mut flags = 0u64;
         if let Some(ample) = &ample {
@@ -433,7 +413,7 @@ impl Expander<'_> {
                         self.log.push(TAG_QUIESCENT);
                         self.log.push(u64::from(deficit));
                     } else {
-                        let child_key = route_key(&next, effective);
+                        let child_key = state_key(&next, effective);
                         self.log.push(TAG_OPEN);
                         self.log.push(child_key);
                         self.claims += 1;
@@ -454,7 +434,7 @@ impl Expander<'_> {
             }
             logged += 1;
         }
-        self.log[record + 2] = logged | (choices as u64) << 16 | flags;
+        self.log[record + 1] = logged | (choices as u64) << 16 | flags;
         self.menu = menu;
     }
 }
@@ -509,15 +489,15 @@ fn run_worker(
 // ---------------------------------------------------------------------
 // The successor log: each expanded state appends one flat record
 //
-//   [route_key, memo_key, meta, (ample_word)?, tag0, payload0, ...]
+//   [key, meta, (ample_word)?, tag0, payload0, ...]
 //
-// route_key = the plain key the state was claimed by (record id);
-// memo_key  = the serial memo key the replay gates on
+// key   = the state key the state was claimed by (record id), which the
+//         replay also memoizes on
 // meta  = logged_children | total_choices << 16 | flags
 // flags = FLAG_AMPLE (an ample range follows) | FLAG_PARTIAL (only the
 //         ample slice of the menu was explored and logged)
 // ample_word = start | end << 32, child tags/payloads in choice order;
-// open-child payloads are route keys (their records hold the memo key).
+// open-child payloads are state keys.
 // ---------------------------------------------------------------------
 
 const TAG_OPEN: u64 = 0;
@@ -556,7 +536,7 @@ fn code_from_tag(tag: u64) -> LintCode {
 const OFFSET_BITS: u32 = 48;
 
 /// One round's successor logs, left where the workers wrote them and
-/// indexed by route key. Each position packs (log, offset) into a word,
+/// indexed by state key. Each position packs (log, offset) into a word,
 /// so the join never copies a log.
 struct Graph {
     logs: Vec<Vec<u64>>,
@@ -571,7 +551,7 @@ impl Graph {
         for (id, log) in logs.iter().enumerate() {
             let mut at = 0;
             while at < log.len() {
-                let meta = log[at + 2];
+                let meta = log[at + 1];
                 let logged = (meta & 0xffff) as usize;
                 let has_ample = meta & FLAG_AMPLE != 0;
                 debug_assert!(
@@ -579,32 +559,31 @@ impl Graph {
                     "log exceeds the index encoding"
                 );
                 index.insert(log[at], (id as u64) << OFFSET_BITS | at as u64);
-                at += 3 + usize::from(has_ample) + 2 * logged;
+                at += 2 + usize::from(has_ample) + 2 * logged;
             }
         }
         Graph { logs, index }
     }
 
-    /// The record of `route`, parsed.
-    fn state(&self, route: u64) -> Record<'_> {
-        let Some(&at) = self.index.get(&route) else {
+    /// The record of `key`, parsed.
+    fn state(&self, key: u64) -> Record<'_> {
+        let Some(&at) = self.index.get(&key) else {
             // Every open edge targets an expanded state in a cut-free
             // round; an absent record means the log is corrupt.
-            unreachable!("state {route:#x} expanded by no worker");
+            unreachable!("state {key:#x} expanded by no worker");
         };
         let offset = (at & ((1 << OFFSET_BITS) - 1)) as usize;
         let record = &self.logs[(at >> OFFSET_BITS) as usize][offset..];
-        let meta = record[2];
+        let meta = record[1];
         let (ample, children) = if meta & FLAG_AMPLE != 0 {
-            let word = record[3];
+            let word = record[2];
             let range = (word & 0xffff_ffff) as usize..(word >> 32) as usize;
-            (Some(range), &record[4..])
+            (Some(range), &record[3..])
         } else {
-            (None, &record[3..])
+            (None, &record[2..])
         };
         Record {
-            route,
-            memo_key: record[1],
+            key,
             choices: ((meta >> 16) & 0xffff) as usize,
             ample,
             partial: meta & FLAG_PARTIAL != 0,
@@ -613,11 +592,9 @@ impl Graph {
     }
 }
 
-/// A logged state. The walk follows route keys (the concrete
-/// representative) and gates on the memo key (its serial class).
+/// A logged state, identified by its state key.
 struct Record<'g> {
-    route: u64,
-    memo_key: u64,
+    key: u64,
     choices: usize,
     ample: Option<Range<usize>>,
     /// Only the ample slice of the menu was logged, from index zero.
@@ -640,7 +617,7 @@ impl<'g> Space for Replay<'g> {
 
     /// Quiescent states were resolved at their edge or at seed time.
     fn key(&mut self, record: &Record<'g>, _path: &[usize]) -> Option<u64> {
-        Some(record.memo_key)
+        Some(record.key)
     }
 
     fn lasso(&mut self, path: &[usize]) {
@@ -652,7 +629,7 @@ impl<'g> Space for Replay<'g> {
             choices: record.choices,
             ample: record.ample.clone(),
             // The proviso cannot expand what this round never explored.
-            partial: record.partial.then_some(record.route),
+            partial: record.partial.then_some(record.key),
         }
     }
 
@@ -685,7 +662,7 @@ impl<'g> Space for Replay<'g> {
     }
 }
 
-/// Replays the serial walk over `graph` from `roots` in order: the route
+/// Replays the serial walk over `graph` from `roots` in order: the state
 /// key of each open root, `None` for a quiescent one, which has closed
 /// none of the `s` required sessions.
 fn replay<'g>(
@@ -759,7 +736,7 @@ fn explore_partitioned(
                 continue;
             }
             let counter = SessionCounter::new(n, s);
-            let key = route_key(root, &counter);
+            let key = state_key(root, &counter);
             replay_roots.push(Some(key));
             if frontier.claim(key) {
                 if max_depth == 0 {
@@ -835,9 +812,8 @@ fn explore_partitioned(
         }
         return Some(PartitionRun {
             counts: replay.counts,
-            // Serial memo entries: the replay memo is keyed by the
-            // serial memo key, so its size matches the serial explorer
-            // even when Phase A expanded extra orbit representatives.
+            // Serial memo entries: the replay memo is keyed like the
+            // serial explorer's, so its size matches it.
             unique_states: replay.memo_len() as u64,
             witnesses: replay.space.witnesses,
             rounds,
@@ -937,7 +913,6 @@ pub(crate) fn explore_parallel_flight(
         threads: opts.threads,
         max_depth,
         por: opts.por,
-        symmetry: opts.symmetry,
         states: run.counts.states,
         unique_states: run.unique_states,
         duplicate_expansions: run.counts.duplicates,
@@ -987,18 +962,15 @@ mod tests {
 
     #[test]
     fn graph_indexes_records_in_every_log() {
-        // Two logs, one record each: key, memo key, meta (one open child).
-        let logs = vec![vec![11, 11, 1 | 1 << 16, TAG_OPEN, 22], vec![22, 99, 0]];
+        // Two logs, one record each: key, meta (one open child).
+        let logs = vec![vec![11, 1 | 1 << 16, TAG_OPEN, 22], vec![22, 0]];
         let graph = Graph::build(logs);
         let (root, child) = (graph.state(11), graph.state(22));
         assert_eq!(
-            (root.memo_key, root.choices, root.children),
+            (root.key, root.choices, root.children),
             (11, 1, &[TAG_OPEN, 22][..])
         );
-        assert_eq!(
-            (child.memo_key, child.choices, child.children.len()),
-            (99, 0, 0)
-        );
+        assert_eq!((child.key, child.choices, child.children.len()), (22, 0, 0));
     }
 
     #[test]

@@ -217,8 +217,6 @@ pub struct ExploreProfile {
     pub max_depth: usize,
     /// Whether partial-order reduction was on.
     pub por: bool,
-    /// Whether symmetry reduction was on.
-    pub symmetry: bool,
     /// States the serial replay counted — the serial explorer's
     /// `states`. The per-worker `states` are Phase A expansions.
     pub states: u64,
@@ -274,7 +272,8 @@ impl ExploreProfile {
         w.key("opts");
         w.begin_object();
         w.field_bool("por", self.por);
-        w.field_bool("symmetry", self.symmetry);
+        // A constant keeps v2 byte-stable; v3 (ROADMAP item 6) drops it.
+        w.field_bool("symmetry", false);
         w.end_object();
         w.field_u64("states", self.states);
         w.field_u64("unique_states", self.unique_states);
@@ -478,7 +477,6 @@ mod tests {
             threads: 2,
             max_depth: 27,
             por: false,
-            symmetry: false,
             states: 1000,
             unique_states: 1000,
             duplicate_expansions: 0,

@@ -11,9 +11,7 @@
 //! pending events, the periods and the session counter — and asserts that
 //! no two distinct encodings share:
 //!
-//! * a [`route_key`] (the plain memo and claim key),
-//! * a symmetry key ([`canonical_key`], on targets symmetry accepts),
-//!   whose encoding is the least over the state's symmetry orbit,
+//! * a [`state_key`] (the memo and claim key),
 //! * a control hash ([`AnyMachine::control_hash`], the zone walker's
 //!   currency), whose encoding leaves out times and the counter.
 //!
@@ -26,8 +24,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use session_analyzer::explore::{check_step, route_key, AnyMachine, SessionCounter};
-use session_analyzer::symmetry::canonical_key;
+use session_analyzer::explore::{check_step, state_key, AnyMachine, SessionCounter};
 use session_analyzer::{scoped_target_space, target_space, TargetSpace};
 
 /// Targets whose audit runs in every build.
@@ -101,79 +98,35 @@ impl Table {
     }
 }
 
-/// All permutations of `0..n`.
-fn permutations(n: usize) -> Vec<Vec<usize>> {
-    if n == 0 {
-        return vec![Vec::new()];
+/// The machine's full encoding, with relative times when `timed`.
+fn machine_encoding(machine: &AnyMachine, timed: bool) -> Vec<String> {
+    match machine {
+        AnyMachine::Sm(m) => m.canonical_encoding(timed),
+        AnyMachine::Mp(m) => m.canonical_encoding(timed),
     }
-    let mut out = Vec::new();
-    for rest in permutations(n - 1) {
-        for at in 0..=rest.len() {
-            let mut sigma = rest.clone();
-            sigma.insert(at, n - 1);
-            out.push(sigma);
-        }
-    }
-    out
 }
 
-/// The state's full encoding as the route key sees it: machine state with
-/// relative times, plus the counter.
-fn route_encoding(
+/// The state's full encoding as the state key sees it: machine state
+/// with relative times, plus the counter.
+fn state_encoding(
     interner: &mut Interner,
     machine: &AnyMachine,
     counter: &SessionCounter,
 ) -> Vec<u32> {
-    let mut parts = match machine {
-        AnyMachine::Sm(m) => m.canonical_encoding(true),
-        AnyMachine::Mp(m) => {
-            let identity: Vec<usize> = (0..m.num_processes()).collect();
-            m.canonical_encoding(&identity, true)
-        }
-    };
+    let mut parts = machine_encoding(machine, true);
     parts.push(format!("{counter:?}"));
     interner.encode(parts)
 }
 
-/// The least encoding over the state's symmetry orbit: equal exactly for
-/// states that are process renamings of each other.
-fn orbit_encoding(
-    interner: &mut Interner,
-    machine: &AnyMachine,
-    counter: &SessionCounter,
-    group: &[Vec<usize>],
-) -> Vec<u32> {
-    let AnyMachine::Mp(m) = machine else {
-        unreachable!("symmetry only canonicalizes message-passing states");
-    };
-    group
-        .iter()
-        .map(|sigma| {
-            let mut parts = m.canonical_encoding(sigma, true);
-            parts.push(format!("{:?}", counter.renamed(sigma)));
-            interner.encode(parts)
-        })
-        .min()
-        .expect("the group holds the identity")
-}
-
 /// The discrete control state's encoding: no times, no counter.
 fn control_encoding(interner: &mut Interner, machine: &AnyMachine) -> Vec<u32> {
-    let parts = match machine {
-        AnyMachine::Sm(m) => m.canonical_encoding(false),
-        AnyMachine::Mp(m) => {
-            let identity: Vec<usize> = (0..m.num_processes()).collect();
-            m.canonical_encoding(&identity, false)
-        }
-    };
-    interner.encode(parts)
+    interner.encode(machine_encoding(machine, false))
 }
 
 /// What one audit walked.
 #[derive(Debug)]
 struct Audited {
     states: usize,
-    symmetry_keys: usize,
     controls: usize,
 }
 
@@ -185,10 +138,8 @@ struct Audited {
 fn audit(target: &str, space: &TargetSpace) -> Audited {
     let (n, s) = (space.scope.n, space.scope.s);
     let mut interner = Interner::default();
-    let mut routes = Table::new("a route key");
-    let mut orbits = Table::new("a symmetry key");
+    let mut states = Table::new("a state key");
     let mut controls = Table::new("a control hash");
-    let group = permutations(n);
     let mut stack: Vec<(AnyMachine, SessionCounter)> = space
         .roots
         .iter()
@@ -198,13 +149,9 @@ fn audit(target: &str, space: &TargetSpace) -> Audited {
         if machine.is_quiescent() {
             continue;
         }
-        let encoding = route_encoding(&mut interner, &machine, &counter);
-        if !routes.record(target, route_key(&machine, &counter), encoding) {
+        let encoding = state_encoding(&mut interner, &machine, &counter);
+        if !states.record(target, state_key(&machine, &counter), encoding) {
             continue;
-        }
-        if let Some(key) = canonical_key(&machine, &counter) {
-            let encoding = orbit_encoding(&mut interner, &machine, &counter, &group);
-            orbits.record(target, key, encoding);
         }
         let encoding = control_encoding(&mut interner, &machine);
         controls.record(target, machine.control_hash(), encoding);
@@ -219,8 +166,7 @@ fn audit(target: &str, space: &TargetSpace) -> Audited {
         }
     }
     Audited {
-        states: routes.seen.len(),
-        symmetry_keys: orbits.seen.len(),
+        states: states.seen.len(),
         controls: controls.seen.len(),
     }
 }
@@ -254,15 +200,4 @@ fn periodic_mp_at_n3_s3_has_no_key_collisions() {
     let space = scoped_target_space("PeriodicMp", 3, 3).expect("paper target is registered");
     let audited = audit("PeriodicMp (3, 3)", &space);
     assert_eq!(audited.states, 325_431);
-    assert_eq!(audited.symmetry_keys, 0, "PeriodicMp carries process ids");
-}
-
-/// The symmetry table is exercised: `SyncMp` is symmetric, and its orbit
-/// encodings merge exactly the mirror states its symmetry keys merge.
-#[test]
-fn symmetric_targets_audit_their_symmetry_keys() {
-    let space = target_space("SyncMp").expect("registered");
-    let audited = audit("SyncMp", &space);
-    assert!(audited.symmetry_keys > 0);
-    assert!(audited.symmetry_keys < audited.states);
 }

@@ -10,8 +10,8 @@
 //! `partition.rs`), so not just the codes but
 //! the *witness roots, paths, messages, their order*, the truncation
 //! flag, the `states` count and the reduction stats must match the
-//! serial run exactly, at every thread count, under every reduction
-//! combination. In particular `states(threads=N) == states(threads=1)`
+//! serial run exactly, at every thread count, with POR on or off. In
+//! particular `states(threads=N) == states(threads=1)`
 //! is the guarantee that killed the donation-era inflation (325k → 346k
 //! at 8 threads).
 
@@ -25,13 +25,12 @@ use session_types::{Dur, Time, VarId};
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
-/// Every reduce= combination, serial; the thread sweep is layered on top.
-const REDUCTIONS: [(&str, ExploreOpts); 4] = [
+/// Every reduce= setting, serial; the thread sweep is layered on top.
+const REDUCTIONS: [(&str, ExploreOpts); 2] = [
     (
         "none",
         ExploreOpts {
             por: false,
-            symmetry: false,
             threads: 1,
         },
     ),
@@ -39,23 +38,6 @@ const REDUCTIONS: [(&str, ExploreOpts); 4] = [
         "por",
         ExploreOpts {
             por: true,
-            symmetry: false,
-            threads: 1,
-        },
-    ),
-    (
-        "symmetry",
-        ExploreOpts {
-            por: false,
-            symmetry: true,
-            threads: 1,
-        },
-    ),
-    (
-        "por+symmetry",
-        ExploreOpts {
-            por: true,
-            symmetry: true,
             threads: 1,
         },
     ),
@@ -267,10 +249,9 @@ fn periodic_mp_is_thread_invariant_at_full_depth() {
     }
 }
 
-/// Exactly-once expansion on the bench headline: with symmetry refused
-/// for this identity-carrying target, the claim table must hand each of
-/// the 95,894 serial states to exactly one worker, in one round and
-/// with no serial fallback. Debug builds take minutes here; the release
+/// Exactly-once expansion on the bench headline: the claim table must
+/// hand each of the 95,894 serial states to exactly one worker, in one
+/// round and with no serial fallback. Debug builds take minutes here; the release
 /// run (`cargo test --release --test parallel_diff`) carries it.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "minutes in debug; runs under --release")]
@@ -308,11 +289,7 @@ fn recorded_explore_counters_are_thread_invariant() {
     let space = scoped_target_space("PeriodicMp", 2, 2).expect("registered target");
     let counters = |threads| {
         let mut recorder = InMemoryRecorder::new();
-        let opts = ExploreOpts {
-            por: true,
-            symmetry: false,
-            threads,
-        };
+        let opts = ExploreOpts { por: true, threads };
         let depth = space.scope.max_depth;
         let (run, _) = explore_flight(
             &space.roots,

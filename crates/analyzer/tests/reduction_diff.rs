@@ -1,10 +1,10 @@
-//! Differential harness: the reduction layers must be verdict-preserving.
+//! Differential harness: the reduction layer must be verdict-preserving.
 //!
-//! Partial-order reduction prunes interleavings and symmetry reduction
-//! merges states, so both change *how much* the explorer visits — but
-//! neither may change *what it concludes*. For every registered target and
-//! every reduction combination this harness demands the same set of lint
-//! codes as the unreduced exploration, and the same counterexample
+//! Partial-order reduction prunes interleavings, so it changes *how much*
+//! the explorer visits — but it may not change *what it concludes*. For
+//! every registered target, with POR on or off and at every thread count,
+//! this harness demands the same set of lint codes as the unreduced
+//! serial exploration, and the same counterexample
 //! feasibility (replay self-check failures surface as extra `SA004`
 //! findings, so code-set equality covers them).
 //!
@@ -38,40 +38,18 @@ const FAST_TARGETS: [&str; 11] = [
 
 const SLOW_TARGETS: [&str; 2] = ["SporadicMp", "NaiveSporadicMp"];
 
-/// The reduction combinations under test, paired with a label for
-/// failure messages: every reduction serially, then every reduction
-/// again on the claim-table parallel explorer at 2 and 8 threads
-/// — the thread count must preserve verdicts exactly like the
-/// reductions themselves, whichever reduction it is layered over.
+/// The combinations under test, paired with a label for failure
+/// messages: POR serially, then both settings again on the claim-table
+/// parallel explorer at 2 and 8 threads — the thread count must preserve
+/// verdicts exactly like the reduction itself, with or without it.
 fn combos() -> Vec<(String, ExploreOpts)> {
-    const REDUCTIONS: [(&str, bool, bool); 4] = [
-        ("none", false, false),
-        ("por", true, false),
-        ("symmetry", false, true),
-        ("por+symmetry", true, true),
-    ];
-    let mut combos = Vec::new();
-    for (label, por, symmetry) in REDUCTIONS {
-        if por || symmetry {
-            combos.push((
-                label.to_owned(),
-                ExploreOpts {
-                    por,
-                    symmetry,
-                    threads: 1,
-                },
-            ));
-        }
-    }
+    const REDUCTIONS: [(&str, bool); 2] = [("none", false), ("por", true)];
+    let mut combos = vec![("por".to_owned(), ExploreOpts::reduced())];
     for threads in [2, 8] {
-        for (label, por, symmetry) in REDUCTIONS {
+        for (label, por) in REDUCTIONS {
             combos.push((
                 format!("{label}@threads={threads}"),
-                ExploreOpts {
-                    por,
-                    symmetry,
-                    threads,
-                },
+                ExploreOpts { por, threads },
             ));
         }
     }
@@ -100,7 +78,7 @@ fn verdict(report: &Report) -> Vec<(String, String)> {
     codes
 }
 
-/// Asserts every reduction combination matches the unreduced verdict on
+/// Asserts every combination matches the unreduced verdict on
 /// `name`, and returns `(full states, reduced states)` for ratio checks.
 fn assert_equivalent(name: &str) -> (u64, u64) {
     let space = target_space(name).unwrap_or_else(|| panic!("{name} is registered"));
@@ -128,7 +106,7 @@ fn assert_equivalent(name: &str) -> (u64, u64) {
                 .any(|d| d.message.contains("self-check failed")),
             "{name}: counterexample under {label} failed its feasibility self-check"
         );
-        if opts.por && opts.symmetry && opts.threads == 1 {
+        if opts == ExploreOpts::reduced() {
             reduced_states = report.targets[0].states;
         }
     }
@@ -151,7 +129,7 @@ fn slow_targets_keep_their_verdicts_under_every_reduction() {
 }
 
 /// The headline scaling claim: on the paper's periodic message-passing
-/// algorithm at n = 3, s = 3 the reductions visit at least 3x fewer
+/// algorithm at n = 3, s = 3 partial-order reduction visits at least 3x fewer
 /// states (measured: 325 431 -> 97 123, a 3.35x cut) while reporting the
 /// same verdict. `PeriodicMp` is the cheapest (3, 3) paper space that is
 /// both debug-tractable and large enough for the ample sets to bite; the

@@ -464,17 +464,27 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     *pos += 2;
                 }
                 Some(b'u') => {
-                    // Exactly four hex digits: `from_str_radix` alone
-                    // would also take a leading `+`.
-                    let hex = bytes
-                        .get(*pos + 2..*pos + 6)
-                        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                        .and_then(|h| std::str::from_utf8(h).ok())
-                        .and_then(|h| u32::from_str_radix(h, 16).ok())
-                        .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                    // Surrogate pairs are not produced by this workspace's
-                    // writer; map lone surrogates to the replacement char.
-                    out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                    let at = *pos;
+                    let unpaired = || format!("unpaired surrogate \\u escape at byte {at}");
+                    let unit = hex_escape(bytes, at)?;
+                    let scalar = match unit {
+                        // A high surrogate joins the low one that must
+                        // follow it into one supplementary-plane char.
+                        0xd800..=0xdbff => {
+                            let low = match bytes.get(at + 6..at + 8) {
+                                Some(b"\\u") => hex_escape(bytes, at + 6)?,
+                                _ => return Err(unpaired()),
+                            };
+                            if !(0xdc00..=0xdfff).contains(&low) {
+                                return Err(unpaired());
+                            }
+                            *pos += 6;
+                            0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00)
+                        }
+                        0xdc00..=0xdfff => return Err(unpaired()),
+                        _ => unit,
+                    };
+                    out.push(char::from_u32(scalar).ok_or_else(unpaired)?);
                     *pos += 6;
                 }
                 _ => return Err(format!("bad escape at byte {}", *pos)),
@@ -495,6 +505,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             None => return Err("unterminated string".to_owned()),
         }
     }
+}
+
+/// The code unit of the `\uXXXX` escape whose backslash is at byte `at`:
+/// exactly four hex digits (`from_str_radix` alone would also take a
+/// leading `+`).
+fn hex_escape(bytes: &[u8], at: usize) -> Result<u32, String> {
+    bytes
+        .get(at + 2..at + 6)
+        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+        .and_then(|h| std::str::from_utf8(h).ok())
+        .and_then(|h| u32::from_str_radix(h, 16).ok())
+        .ok_or_else(|| format!("bad \\u escape at byte {at}"))
 }
 
 #[cfg(test)]
@@ -615,6 +637,31 @@ mod tests {
         assert_eq!(a[2].as_str(), Some("x\n"));
         assert_eq!(a[3].as_bool(), Some(true));
         assert_eq!(a[4], JsonValue::Null);
+    }
+
+    #[test]
+    fn surrogate_pairs_join_and_unpaired_surrogates_are_rejected() {
+        let v = parse(r#"["\ud83d\ude00", "a\uD834\uDD1Eb"]"#).unwrap();
+        let a = v.as_array().unwrap();
+        assert_eq!(a[0].as_str(), Some("\u{1f600}"));
+        assert_eq!(a[1].as_str(), Some("a\u{1d11e}b"));
+        // Each unpaired surrogate is an error naming its escape's offset.
+        for (bad, at) in [
+            (r#""\ud83d""#, 1),
+            (r#""x\ud83dy""#, 2),
+            (r#""\ud83d\n""#, 1),
+            (r#""\ud83d\u0041""#, 1),
+            (r#""\ud83d\ud83d""#, 1),
+            (r#""ab\ude00""#, 3),
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unpaired surrogate \\u escape at byte {at}"),
+                "{bad}"
+            );
+            assert!(validate(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 
 use session_types::{Dur, Error, ProcessId, Result, Time};
 
-use crate::rng::{ratio_in_range, seeded_rng};
+use crate::rng::{ratio_in_range, seeded_rng, GRANULARITY};
 
 /// Chooses the network delay of each (message, recipient) instance.
 ///
@@ -56,7 +56,6 @@ impl DelayPolicy for ConstantDelay {
 pub struct UniformDelay {
     d1: Dur,
     d2: Dur,
-    granularity: u32,
     rng: StdRng,
 }
 
@@ -76,20 +75,8 @@ impl UniformDelay {
         Ok(UniformDelay {
             d1,
             d2,
-            granularity: 16,
             rng: seeded_rng(seed),
         })
-    }
-
-    /// Sets how many grid points subdivide `[d1, d2]` (default 16).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `granularity == 0`.
-    pub fn with_granularity(mut self, granularity: u32) -> UniformDelay {
-        assert!(granularity > 0, "granularity must be positive");
-        self.granularity = granularity;
-        self
     }
 }
 
@@ -99,7 +86,7 @@ impl DelayPolicy for UniformDelay {
             &mut self.rng,
             self.d1.as_ratio(),
             self.d2.as_ratio(),
-            self.granularity,
+            GRANULARITY,
         ))
     }
 }

@@ -23,6 +23,11 @@ pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
+/// How many grid points subdivide the interval of every simulator draw
+/// through [`ratio_in_range`] ([`crate::UniformDelay`],
+/// [`crate::JitterSchedule`]).
+pub(crate) const GRANULARITY: u32 = 16;
+
 /// Draws an exact rational uniformly from the `granularity + 1` evenly spaced
 /// points of `[lo, hi]` (inclusive on both ends).
 ///

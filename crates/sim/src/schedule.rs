@@ -13,7 +13,7 @@ use rand::RngExt;
 
 use session_types::{Dur, Error, ProcessId, Result, Time};
 
-use crate::rng::{ratio_in_range, seeded_rng};
+use crate::rng::{ratio_in_range, seeded_rng, GRANULARITY};
 
 /// Chooses the real times of process steps.
 ///
@@ -126,7 +126,6 @@ impl StepSchedule for FixedPeriods {
 pub struct JitterSchedule {
     c1: Dur,
     c2: Dur,
-    granularity: u32,
     rng: StdRng,
 }
 
@@ -147,20 +146,8 @@ impl JitterSchedule {
         Ok(JitterSchedule {
             c1,
             c2,
-            granularity: 16,
             rng: seeded_rng(seed),
         })
-    }
-
-    /// Sets how many grid points subdivide `[c1, c2]` (default 16).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `granularity == 0`.
-    pub fn with_granularity(mut self, granularity: u32) -> JitterSchedule {
-        assert!(granularity > 0, "granularity must be positive");
-        self.granularity = granularity;
-        self
     }
 
     fn gap(&mut self) -> Dur {
@@ -168,7 +155,7 @@ impl JitterSchedule {
             &mut self.rng,
             self.c1.as_ratio(),
             self.c2.as_ratio(),
-            self.granularity,
+            GRANULARITY,
         ))
     }
 }

@@ -40,6 +40,8 @@ use session_analyzer::{
 use session_obs::{NullRecorder, ProgressBoard};
 use session_types::{Error, Result, TimingModel};
 
+use crate::kv::{parse_timing_model, KvArgs};
+
 /// Output format for the report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AnalyzeFormat {
@@ -58,7 +60,8 @@ pub struct AnalyzeConfig {
     pub trace: Option<String>,
     /// Timing-model claim override for the trace analysis (`model=`).
     pub model: Option<TimingModel>,
-    /// Reduction layers for the exploration (`reduce=`).
+    /// Reduction and worker threads for the exploration (`reduce=`,
+    /// `threads=`).
     pub opts: ExploreOpts,
     /// When true, additionally run the symbolic zone-graph engine over
     /// each selected target (`symbolic=on`).
@@ -92,9 +95,10 @@ usage: session-cli analyze [--all | TARGET ...] [key=value ...]
                         one target; defaults are the registry fixtures)
   trace=FILE.jsonl      analyze a recorded trace (happens-before lints)
   model=NAME            claim override for trace analysis (synchronous,
-                        periodic, semi-synchronous, sporadic, asynchronous)
-  reduce=none|por|symmetry|all
-                        reduction layers for the exploration (default none)
+                        periodic, semi-synchronous, sporadic, asynchronous;
+                        or sync, semisync, async)
+  reduce=none|por|all   partial-order reduction for the exploration
+                        (default none; all is the same as por)
   threads=N             worker threads for the exploration (default 1);
                         findings are identical at every thread count
   symbolic=on|off       additionally run the symbolic zone-graph engine
@@ -118,14 +122,14 @@ targets: the ten paper algorithms (clean) and three naive witnesses
     /// # Errors
     ///
     /// Returns [`Error::InvalidParams`] (carrying a usage hint) on unknown
-    /// targets, codes, formats, models or options, on `model=` without
-    /// `trace=`, and when nothing is selected.
+    /// targets, codes, formats, models or options, on a repeated key, on
+    /// `model=` without `trace=`, and when nothing is selected.
     pub fn parse<I, S>(args: I) -> Result<AnalyzeConfig>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let bad = |msg: &str| Error::invalid_params(format!("{msg}\n{}", AnalyzeConfig::USAGE));
+        let mut kv = KvArgs::new(AnalyzeConfig::USAGE);
         let mut all = false;
         let mut list = false;
         let mut targets: Vec<String> = Vec::new();
@@ -141,10 +145,17 @@ targets: the ten paper algorithms (clean) and three naive witnesses
         let mut profile: Option<PathBuf> = None;
         let mut progress: Option<bool> = None;
 
-        let set_codes = |lints: &mut LintConfig, value: &str, severity: Severity| {
+        let target = |kv: &KvArgs, name: &str| {
+            if target_names().contains(&name) {
+                Ok(name.to_string())
+            } else {
+                Err(kv.error(format_args!("unknown target `{name}`")))
+            }
+        };
+        let set_codes = |kv: &KvArgs, lints: &mut LintConfig, value: &str, severity| {
             for part in value.split(',') {
                 let code = LintCode::parse(part)
-                    .ok_or_else(|| bad(&format!("unknown lint code `{part}`")))?;
+                    .ok_or_else(|| kv.error(format_args!("unknown lint code `{part}`")))?;
                 lints.set(code, severity);
             }
             Ok::<(), Error>(())
@@ -152,107 +163,60 @@ targets: the ten paper algorithms (clean) and three naive witnesses
 
         for arg in args {
             let arg = arg.as_ref();
-            match arg.split_once('=') {
-                Some(("format", value)) => {
-                    format = match value {
-                        "md" | "markdown" => AnalyzeFormat::Markdown,
-                        "csv" => AnalyzeFormat::Csv,
-                        other => return Err(bad(&format!("unknown format `{other}`"))),
-                    }
-                }
-                Some(("trace", value)) => trace = Some(value.to_string()),
-                Some(("model", value)) => {
-                    model = Some(match value {
-                        "synchronous" => TimingModel::Synchronous,
-                        "periodic" => TimingModel::Periodic,
-                        "semi-synchronous" => TimingModel::SemiSynchronous,
-                        "sporadic" => TimingModel::Sporadic,
-                        "asynchronous" => TimingModel::Asynchronous,
-                        other => return Err(bad(&format!("unknown timing model `{other}`"))),
-                    });
-                }
-                Some(("reduce", value)) => {
-                    (opts.por, opts.symmetry) = match value {
-                        "none" => (false, false),
-                        "por" => (true, false),
-                        "symmetry" => (false, true),
-                        "all" => (true, true),
-                        other => return Err(bad(&format!("unknown reduction `{other}`"))),
-                    }
-                }
-                Some(("threads", value)) => {
-                    let parsed: usize = value
-                        .parse()
-                        .map_err(|_| bad(&format!("threads= wants a count, got `{value}`")))?;
-                    if parsed == 0 {
-                        return Err(bad("threads=0 is meaningless; pass threads=1 or more"));
-                    }
-                    threads = Some(parsed);
-                }
-                Some(("symbolic", value)) => {
-                    symbolic = Some(match value {
-                        "on" => true,
-                        "off" => false,
-                        other => {
-                            return Err(bad(&format!("symbolic= wants on or off, got `{other}`")))
+            match arg {
+                "--all" => all = true,
+                "--list" => list = true,
+                _ if !arg.contains('=') => targets.push(target(&kv, arg)?),
+                _ => match kv.pair(arg)? {
+                    ("format", value) => {
+                        format = match value {
+                            "md" | "markdown" => AnalyzeFormat::Markdown,
+                            "csv" => AnalyzeFormat::Csv,
+                            other => return Err(kv.error(format_args!("unknown format `{other}`"))),
                         }
-                    });
-                }
-                Some(("target", value)) => {
-                    if !target_names().contains(&value) {
-                        return Err(bad(&format!("unknown target `{value}`")));
                     }
-                    targets.push(value.to_string());
-                }
-                Some(("n", value)) => {
-                    let parsed: usize = value
-                        .parse()
-                        .map_err(|_| bad(&format!("n= wants a process count, got `{value}`")))?;
-                    if parsed == 0 {
-                        return Err(bad("n=0 is meaningless; pass n=1 or more"));
+                    ("trace", value) => trace = Some(value.to_string()),
+                    ("model", value) => {
+                        model = Some(parse_timing_model(value).ok_or_else(|| {
+                            kv.error(format_args!("unknown timing model `{value}`"))
+                        })?);
                     }
-                    if parsed > SessionCounter::MAX_PORTS {
-                        return Err(bad(&format!(
-                            "n={parsed} is too large; the explorer tracks at most {} ports",
-                            SessionCounter::MAX_PORTS
-                        )));
-                    }
-                    n = Some(parsed);
-                }
-                Some(("s", value)) => {
-                    let parsed: u64 = value
-                        .parse()
-                        .map_err(|_| bad(&format!("s= wants a session count, got `{value}`")))?;
-                    if parsed == 0 {
-                        return Err(bad("s=0 is meaningless; pass s=1 or more"));
-                    }
-                    s = Some(parsed);
-                }
-                Some(("profile", value)) => profile = Some(PathBuf::from(value)),
-                Some(("progress", value)) => {
-                    progress = Some(match value {
-                        "on" => true,
-                        "off" => false,
-                        other => {
-                            return Err(bad(&format!("progress= wants on or off, got `{other}`")))
+                    ("reduce", value) => {
+                        opts.por = match value {
+                            "none" => false,
+                            "por" | "all" => true,
+                            other => {
+                                return Err(kv.error(format_args!(
+                                    "unknown reduction `{other}` (expected none|por|all)"
+                                )))
+                            }
                         }
-                    });
-                }
-                Some(("allow", value)) => set_codes(&mut lints, value, Severity::Allow)?,
-                Some(("warn", value)) => set_codes(&mut lints, value, Severity::Warn)?,
-                Some(("deny", value)) => set_codes(&mut lints, value, Severity::Deny)?,
-                Some((other, _)) => return Err(bad(&format!("unknown option `{other}`"))),
-                None if arg == "--all" => all = true,
-                None if arg == "--list" => list = true,
-                None => {
-                    if !target_names().contains(&arg) {
-                        return Err(bad(&format!("unknown target `{arg}`")));
                     }
-                    targets.push(arg.to_string());
-                }
+                    ("threads", value) => threads = Some(kv.positive("threads", value, "a count")?),
+                    ("symbolic", value) => symbolic = Some(kv.on_off("symbolic", value)?),
+                    ("target", value) => targets.push(target(&kv, value)?),
+                    ("n", value) => {
+                        let parsed: usize = kv.positive("n", value, "a process count")?;
+                        if parsed > SessionCounter::MAX_PORTS {
+                            return Err(kv.error(format_args!(
+                                "n={parsed} is too large; the explorer tracks at most {} ports",
+                                SessionCounter::MAX_PORTS
+                            )));
+                        }
+                        n = Some(parsed);
+                    }
+                    ("s", value) => s = Some(kv.positive("s", value, "a session count")?),
+                    ("profile", value) => profile = Some(PathBuf::from(value)),
+                    ("progress", value) => progress = Some(kv.on_off("progress", value)?),
+                    ("allow", value) => set_codes(&kv, &mut lints, value, Severity::Allow)?,
+                    ("warn", value) => set_codes(&kv, &mut lints, value, Severity::Warn)?,
+                    ("deny", value) => set_codes(&kv, &mut lints, value, Severity::Deny)?,
+                    (other, _) => return Err(kv.error(format_args!("unknown option `{other}`"))),
+                },
             }
         }
 
+        let bad = |msg: &str| kv.error(msg);
         if all {
             targets = target_names().iter().map(ToString::to_string).collect();
         } else if targets.is_empty() && trace.is_none() && !list {
@@ -512,17 +476,68 @@ mod tests {
         assert_eq!(config.format, AnalyzeFormat::Csv);
         assert_eq!(config.opts, ExploreOpts::reduced());
         assert!(AnalyzeConfig::parse(["SyncSm", "reduce=fast"]).is_err());
+        // `all` is POR, the one reduction; any other value names the three.
+        let por = AnalyzeConfig::parse(["SyncSm", "reduce=por"]).unwrap();
+        assert_eq!(por.opts, ExploreOpts::reduced());
+        let err = AnalyzeConfig::parse(["SyncSm", "reduce=symmetry"])
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("none|por|all"), "{err}");
+        assert!(err.contains("usage: session-cli analyze"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_by_name() {
+        // A repeated key is an error, not a silent last-one-wins.
+        for (args, key) in [
+            (["SyncSm", "reduce=all", "reduce=none"], "reduce"),
+            (["SyncSm", "threads=2", "threads=4"], "threads"),
+            (["SyncSm", "target=SyncMp", "target=SyncMp"], "target"),
+        ] {
+            let err = AnalyzeConfig::parse(args).unwrap_err().to_string();
+            assert!(err.contains(&format!("duplicate option `{key}`")), "{err}");
+            assert!(err.contains("usage: session-cli analyze"), "{err}");
+        }
+        // Positional targets are not keys: naming several stays legal.
+        let config = AnalyzeConfig::parse(["SyncSm", "SyncMp", "target=PeriodicMp"]).unwrap();
+        assert_eq!(config.targets, vec!["SyncSm", "SyncMp", "PeriodicMp"]);
+    }
+
+    #[test]
+    fn model_takes_the_shared_timing_vocabulary() {
+        for (value, model) in [
+            ("sync", TimingModel::Synchronous),
+            ("synchronous", TimingModel::Synchronous),
+            ("semisync", TimingModel::SemiSynchronous),
+            ("semi-synchronous", TimingModel::SemiSynchronous),
+            ("async", TimingModel::Asynchronous),
+            ("sporadic", TimingModel::Sporadic),
+        ] {
+            let arg = format!("model={value}");
+            let config = AnalyzeConfig::parse(["trace=run.jsonl", arg.as_str()]).unwrap();
+            assert_eq!(config.model, Some(model), "{value}");
+        }
     }
 
     #[test]
     fn threads_parses_independently_of_reduce_order() {
         let config = AnalyzeConfig::parse(["--all", "reduce=all", "threads=8"]).unwrap();
-        assert_eq!(config.opts.threads, 8);
-        assert!(config.opts.por && config.opts.symmetry);
+        assert_eq!(
+            config.opts,
+            ExploreOpts {
+                threads: 8,
+                ..ExploreOpts::reduced()
+            }
+        );
         // reduce= after threads= must not reset the thread count.
         let config = AnalyzeConfig::parse(["SyncSm", "threads=4", "reduce=por"]).unwrap();
-        assert_eq!(config.opts.threads, 4);
-        assert!(config.opts.por && !config.opts.symmetry);
+        assert_eq!(
+            config.opts,
+            ExploreOpts {
+                por: true,
+                threads: 4
+            }
+        );
         // Default stays serial.
         let config = AnalyzeConfig::parse(["SyncSm"]).unwrap();
         assert_eq!(config.opts.threads, 1);
@@ -540,8 +555,14 @@ mod tests {
         // Composes with the explicit engine's knobs.
         let config =
             AnalyzeConfig::parse(["SyncSm", "symbolic=on", "reduce=all", "threads=4"]).unwrap();
-        assert!(config.symbolic && config.opts.por && config.opts.symmetry);
-        assert_eq!(config.opts.threads, 4);
+        assert!(config.symbolic);
+        assert_eq!(
+            config.opts,
+            ExploreOpts {
+                por: true,
+                threads: 4
+            }
+        );
         // Not a valid trace-analysis knob.
         let err = AnalyzeConfig::parse(["trace=run.jsonl", "symbolic=on"]).unwrap_err();
         assert!(

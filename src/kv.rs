@@ -3,9 +3,10 @@
 //!
 //! Every subcommand speaks the same grammar — a bag of `key=value`
 //! options, each key at most once, every error carrying the command's
-//! usage text. [`KvArgs`] packages that contract so `cli`, `run-real`
-//! and `serve` parse identically instead of each re-implementing the
-//! splitting, duplicate detection, and typed-value error messages.
+//! usage text. [`KvArgs`] packages that contract so `cli`, `run-real`,
+//! `serve`, `analyze`, `stats` and `trace` parse identically instead of
+//! each re-implementing the splitting, duplicate detection, and
+//! typed-value error messages.
 
 use std::collections::BTreeSet;
 use std::str::FromStr;
@@ -84,6 +85,42 @@ impl<'u> KvArgs<'u> {
             .parse()
             .map_err(|_| self.error(format_args!("{key} must be {expected}")))
     }
+
+    /// Parses a count for `key` that must be at least 1, reporting
+    /// failures as ``"{key}= wants {what}, got `{value}`"`` and zero as
+    /// meaningless, each plus the usage text.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParams`] when the value does not parse or
+    /// is zero.
+    pub fn positive<T: FromStr + Default + PartialEq>(
+        &self,
+        key: &str,
+        value: &str,
+        what: &str,
+    ) -> Result<T> {
+        let parsed: T = value
+            .parse()
+            .map_err(|_| self.error(format_args!("{key}= wants {what}, got `{value}`")))?;
+        if parsed == T::default() {
+            return Err(self.error(format_args!("{key}=0 is meaningless; pass {key}=1 or more")));
+        }
+        Ok(parsed)
+    }
+
+    /// Parses an `on`/`off` switch for `key`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParams`] (with usage) for any other value.
+    pub fn on_off(&self, key: &str, value: &str) -> Result<bool> {
+        match value {
+            "on" => Ok(true),
+            "off" => Ok(false),
+            other => Err(self.error(format_args!("{key}= wants on or off, got `{other}`"))),
+        }
+    }
 }
 
 /// Parses the shared `model=` vocabulary used by every subcommand.
@@ -126,6 +163,34 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("shards must be an integer"), "{err}");
+        assert!(err.contains("usage: test"), "{err}");
+    }
+
+    #[test]
+    fn positive_counts_and_switches_name_the_key() {
+        let kv = KvArgs::new("usage: test");
+        assert_eq!(kv.positive::<usize>("threads", "4", "a count").unwrap(), 4);
+        let err = kv
+            .positive::<usize>("threads", "two", "a count")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("threads= wants a count, got `two`"), "{err}");
+        assert!(err.contains("usage: test"), "{err}");
+        let err = kv
+            .positive::<u64>("s", "0", "a count")
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("s=0 is meaningless; pass s=1 or more"),
+            "{err}"
+        );
+        assert!(kv.on_off("progress", "on").unwrap());
+        assert!(!kv.on_off("symbolic", "off").unwrap());
+        let err = kv.on_off("symbolic", "maybe").unwrap_err().to_string();
+        assert!(
+            err.contains("symbolic= wants on or off, got `maybe`"),
+            "{err}"
+        );
         assert!(err.contains("usage: test"), "{err}");
     }
 

@@ -27,6 +27,7 @@ use session_sim::process_stats;
 use session_types::{Error, Result};
 
 use crate::cli::CliConfig;
+use crate::kv::KvArgs;
 
 /// A fully parsed `stats` command line.
 #[derive(Clone, Debug)]
@@ -58,41 +59,34 @@ n=, schedule=, delay=, seed=, max-steps=, ...).";
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParams`] (carrying a usage hint) when a run
-    /// option is malformed, or when `target=` is combined with run
-    /// options.
+    /// Returns [`Error::InvalidParams`] (carrying a usage hint) when an
+    /// argument is not `key=value`, a key is repeated, a run option is
+    /// malformed, or `target=` is combined with run options.
     pub fn parse<I, S>(args: I) -> Result<StatsConfig>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let bad = |msg: &str| Error::invalid_params(format!("{msg}\n{}", StatsConfig::USAGE));
+        let mut kv = KvArgs::new(StatsConfig::USAGE);
         let mut json = None;
         let mut target: Option<String> = None;
         let mut threads: Option<usize> = None;
         let mut run_args: Vec<String> = Vec::new();
         for arg in args {
             let arg = arg.as_ref();
-            match arg.split_once('=') {
-                Some(("json", path)) => json = Some(PathBuf::from(path)),
-                Some(("target", name)) => {
+            match kv.pair(arg)? {
+                ("json", path) => json = Some(PathBuf::from(path)),
+                ("target", name) => {
                     if !target_names().contains(&name) {
-                        return Err(bad(&format!("unknown target `{name}`")));
+                        return Err(kv.error(format_args!("unknown target `{name}`")));
                     }
                     target = Some(name.to_string());
                 }
-                Some(("threads", value)) => {
-                    let parsed: usize = value
-                        .parse()
-                        .map_err(|_| bad(&format!("threads= wants a count, got `{value}`")))?;
-                    if parsed == 0 {
-                        return Err(bad("threads=0 is meaningless; pass threads=1 or more"));
-                    }
-                    threads = Some(parsed);
-                }
+                ("threads", value) => threads = Some(kv.positive("threads", value, "a count")?),
                 _ => run_args.push(arg.to_string()),
             }
         }
+        let bad = |msg: &str| kv.error(msg);
         if let Some(target) = target {
             if !run_args.is_empty() {
                 return Err(bad(&format!(
@@ -110,8 +104,7 @@ n=, schedule=, delay=, seed=, max-steps=, ...).";
         if threads.is_some() {
             return Err(bad("threads= only applies to analyzer mode (target=)"));
         }
-        let run = CliConfig::parse(&run_args)
-            .map_err(|err| Error::invalid_params(format!("{err}\n{}", StatsConfig::USAGE)))?;
+        let run = CliConfig::parse(&run_args).map_err(|err| kv.error(err))?;
         Ok(StatsConfig {
             run: Some(run),
             target: None,
@@ -256,6 +249,20 @@ mod tests {
     fn bad_run_options_carry_the_stats_usage() {
         let err = StatsConfig::parse(["model=quantum"]).unwrap_err();
         assert!(err.to_string().contains("usage: session-cli stats"));
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_by_name() {
+        // Its own keys and the run options it passes on alike.
+        for (args, key) in [
+            (["target=SyncMp", "target=PeriodicMp"], "target"),
+            (["json=a.json", "json=b.json"], "json"),
+            (["model=sync", "model=periodic"], "model"),
+        ] {
+            let err = StatsConfig::parse(args).unwrap_err().to_string();
+            assert!(err.contains(&format!("duplicate option `{key}`")), "{err}");
+            assert!(err.contains("usage: session-cli stats"), "{err}");
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ use session_obs::NullRecorder;
 use session_types::{Error, Result};
 
 use crate::cli::CliConfig;
+use crate::kv::KvArgs;
 
 /// A fully parsed `trace` command line.
 #[derive(Clone, Debug)]
@@ -61,34 +62,32 @@ delay=, seed=, max-steps=, ...). At least one of out= / jsonl= is required.";
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParams`] (carrying a usage hint) when
-    /// neither output is requested or a run option is malformed.
+    /// Returns [`Error::InvalidParams`] (carrying a usage hint) when an
+    /// argument is not `key=value`, a key is repeated, neither output is
+    /// requested or a run option is malformed.
     pub fn parse<I, S>(args: I) -> Result<TraceConfig>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
+        let mut kv = KvArgs::new(TraceConfig::USAGE);
         let mut out = None;
         let mut jsonl = None;
         let mut title = None;
         let mut run_args: Vec<String> = Vec::new();
         for arg in args {
             let arg = arg.as_ref();
-            match arg.split_once('=') {
-                Some(("out", path)) => out = Some(PathBuf::from(path)),
-                Some(("jsonl", path)) => jsonl = Some(PathBuf::from(path)),
-                Some(("title", text)) => title = Some(text.to_string()),
+            match kv.pair(arg)? {
+                ("out", path) => out = Some(PathBuf::from(path)),
+                ("jsonl", path) => jsonl = Some(PathBuf::from(path)),
+                ("title", text) => title = Some(text.to_string()),
                 _ => run_args.push(arg.to_string()),
             }
         }
         if out.is_none() && jsonl.is_none() {
-            return Err(Error::invalid_params(format!(
-                "pass out=PATH and/or jsonl=PATH\n{}",
-                TraceConfig::USAGE
-            )));
+            return Err(kv.error("pass out=PATH and/or jsonl=PATH"));
         }
-        let run = CliConfig::parse(&run_args)
-            .map_err(|err| Error::invalid_params(format!("{err}\n{}", TraceConfig::USAGE)))?;
+        let run = CliConfig::parse(&run_args).map_err(|err| kv.error(err))?;
         Ok(TraceConfig {
             run,
             out,
@@ -194,6 +193,20 @@ mod tests {
     fn requires_an_output() {
         let err = TraceConfig::parse(ACCEPTANCE).unwrap_err();
         assert!(err.to_string().contains("usage: session-cli trace"));
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected_by_name() {
+        // Its own keys and the run options it passes on alike.
+        for (args, key) in [
+            (["out=a.json", "out=b.json", "seed=1"], "out"),
+            (["jsonl=a.jsonl", "jsonl=b.jsonl", "seed=1"], "jsonl"),
+            (["out=a.json", "seed=1", "seed=2"], "seed"),
+        ] {
+            let err = TraceConfig::parse(args).unwrap_err().to_string();
+            assert!(err.contains(&format!("duplicate option `{key}`")), "{err}");
+            assert!(err.contains("usage: session-cli trace"), "{err}");
+        }
     }
 
     #[test]

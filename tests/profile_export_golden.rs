@@ -70,7 +70,6 @@ fn synthetic() -> ExploreProfile {
         threads: 2,
         max_depth: 27,
         por: false,
-        symmetry: false,
         states: 1000,
         unique_states: 1000,
         duplicate_expansions: 0,
