@@ -7,7 +7,7 @@
 //! clock valuations satisfying every entry — exactly the convex sets that
 //! timed-automata reachability needs, closed under the operations here:
 //!
-//! * [`Dbm::close`] — canonicalization by all-pairs shortest paths
+//! * `Dbm::close` — canonicalization by all-pairs shortest paths
 //!   (Floyd–Warshall over the `(min, +)` semiring of bounds). Two closed
 //!   DBMs describe the same non-empty zone iff they are entry-for-entry
 //!   equal, which is what makes [`Hash`]/[`Eq`] on a closed DBM a sound

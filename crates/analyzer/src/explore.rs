@@ -71,8 +71,8 @@ impl AnyMachine {
     /// Applies transition `choice` (must be `< choice_count()`), recording
     /// it into `trace` when one is given. Builds the state's menu for this
     /// one call; the explorers and [`crate::replay::replay`] build it once
-    /// per state instead ([`AnyMachine::build_menu`],
-    /// [`AnyMachine::apply_menu`]).
+    /// per state instead (`AnyMachine::build_menu`,
+    /// `AnyMachine::apply_menu`).
     pub fn apply(&mut self, choice: usize, trace: Option<&mut session_sim::Trace>) -> StepInfo {
         with_menu(|menu| {
             self.build_menu(menu);
@@ -100,6 +100,16 @@ impl AnyMachine {
         match self {
             AnyMachine::Sm(m) => m.apply_menu(menu, choice, trace),
             AnyMachine::Mp(m) => m.apply_menu(menu, choice, trace),
+        }
+    }
+
+    /// Moves this state onto `Arc`s that no other state shares, so a
+    /// worker thread that adopts it never writes a refcount another
+    /// worker writes too.
+    pub(crate) fn rehome(&mut self) {
+        match self {
+            AnyMachine::Sm(m) => m.rehome(),
+            AnyMachine::Mp(m) => m.rehome(),
         }
     }
 
@@ -559,7 +569,8 @@ pub fn check_step(
 pub(crate) struct Witnesses {
     /// Index of the root the walk is under.
     pub(crate) root: usize,
-    found: Vec<(LintCode, usize, Vec<usize>)>,
+    /// Each witness: its code, root index and path.
+    pub(crate) found: Vec<(LintCode, usize, Vec<usize>)>,
 }
 
 impl Witnesses {

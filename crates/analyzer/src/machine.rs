@@ -43,7 +43,7 @@ use session_core::algorithms::{
 use session_core::SessionMsg;
 use session_mpm::{step_process, Envelope, MpProcess, StepResult};
 use session_smm::{Knowledge, RelayProcess, SmProcess, TreeSpec};
-use session_types::{Dur, MsgId, PortId, ProcessId, Time, VarId};
+use session_types::{Dur, MsgId, PortId, ProcessId, Ratio, Time, VarId};
 
 /// Every shared-memory process the checker can host, as a cloneable value.
 ///
@@ -285,7 +285,7 @@ pub struct StepInfo {
 /// The per-exploration-root immutable configuration of an [`SmMachine`],
 /// shared by every state forked from that root. Forking a state must not
 /// copy any of this — it rides along behind one `Arc`.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct SmStatics {
     gaps: GapMode,
     b: usize,
@@ -336,6 +336,20 @@ impl SmMachine {
             algos: algos.into_iter().map(Arc::new).collect(),
             statics: Arc::new(SmStatics { gaps, b, n_ports }),
         }
+    }
+
+    /// Moves this state onto fresh `Arc`s: its statics, processes,
+    /// variable values and accessor sets (see [`MpMachine::rehome`]).
+    pub(crate) fn rehome(&mut self) {
+        fn fresh<T: Clone>(cells: &mut [Arc<T>]) {
+            for cell in cells {
+                *cell = Arc::new(T::clone(cell));
+            }
+        }
+        fresh(&mut self.algos);
+        fresh(&mut self.memory);
+        fresh(&mut self.accessors);
+        self.statics = Arc::new(SmStatics::clone(&self.statics));
     }
 
     /// The processes, for rebuilding a real engine in replay.
@@ -568,10 +582,15 @@ pub fn sm_system_algos(port_algos: Vec<SmAlgo>, n: usize, b: usize) -> (Vec<SmAl
     (algos, tree.num_nodes())
 }
 
+/// An instant or a span of an [`MpMachine`], in ticks of `1/scale` time
+/// units (`MpStatics::scale`).
+type Tick = i64;
+
 /// One pending message-passing event, mirroring the engine's queue entry.
 #[derive(Clone, Debug)]
 struct Pending {
-    time: Time,
+    /// When the event fires.
+    time: Tick,
     /// Insertion sequence — only used to keep enumeration order stable
     /// between byte-identical entries (the engine's FIFO tie-break is
     /// itself one of the branched orders).
@@ -603,12 +622,14 @@ type Identity = (u8, usize, usize, u64);
 const ESCAPE: u64 = 1 << 63;
 
 /// Feeds one pending event to `hasher` as [`MpMachine::state_hash`] and
-/// its kin encode it: the time relative to the next event (left out for
-/// the control hash, which has none), then the identity, one word each in
-/// the common case.
+/// its kin encode it: the time relative to the next event, `ticks` of
+/// `1/scale` (left out for the control hash, which has none), then the
+/// identity, one word each in the common case.
 ///
-/// - Time: an integer in `0..2^63` is its own word. Any other value is
-///   [`ESCAPE`] followed by its numerator and denominator.
+/// - Time: the exact rational `ticks/scale` in lowest terms. An integer
+///   in `0..2^63` is its own word. Any other value is [`ESCAPE`] followed
+///   by its numerator and denominator, so the words do not depend on the
+///   machine's scale.
 /// - Identity: `kind << 62 | process << 54 | from << 46 | value` when
 ///   the process and sender fit in 8 bits and the value in 46. Otherwise
 ///   `ESCAPE | kind` followed by the process, the sender and the value.
@@ -616,16 +637,18 @@ const ESCAPE: u64 = 1 << 63;
 /// A word with the high bit clear is a whole field, and an escape word
 /// says how many words follow, so the encoding is prefix-free and a word
 /// stream decodes to one event sequence.
-fn hash_event<H: Hasher>(time: Option<Dur>, identity: Identity, hasher: &mut H) {
-    if let Some(time) = time {
-        let time = time.as_ratio();
-        match u64::try_from(time.numer()) {
-            Ok(word) if time.is_integer() && word < ESCAPE => hasher.write_u64(word),
-            _ => {
-                hasher.write_u64(ESCAPE);
-                hasher.write_i128(time.numer());
-                hasher.write_i128(time.denom());
-            }
+fn hash_event<H: Hasher>(time: Option<(Tick, Tick)>, identity: Identity, hasher: &mut H) {
+    if let Some((ticks, scale)) = time {
+        // Whole ticks of whole units, the common case, need no division.
+        if scale == 1 && ticks >= 0 {
+            hasher.write_u64(ticks as u64);
+        } else if ticks % scale == 0 && ticks >= 0 {
+            hasher.write_u64((ticks / scale) as u64);
+        } else {
+            let time = Ratio::new(ticks.into(), scale.into());
+            hasher.write_u64(ESCAPE);
+            hasher.write_i128(time.numer());
+            hasher.write_i128(time.denom());
         }
     }
     let (kind, p, from, value) = identity;
@@ -653,7 +676,7 @@ impl Pending {
 
     /// The canonical order [`MpMachine`] keeps `pending` in: by time, then
     /// identity, then insertion sequence.
-    fn order(&self) -> (Time, Identity, u64) {
+    fn order(&self) -> (Tick, Identity, u64) {
         (self.time, self.identity(), self.seq)
     }
 }
@@ -860,11 +883,92 @@ struct Proc {
 #[derive(Debug)]
 struct MpStatics {
     gaps: GapMode,
-    delays: Vec<Dur>,
+    /// Ticks per time unit: the lcm of the denominators of the first
+    /// steps, the gap menu or periods, and the delays, so each of them is
+    /// a whole number of ticks.
+    scale: Tick,
+    /// `gaps` in ticks, indexed as [`GapMode::gap`] indexes its list.
+    gap_ticks: Vec<Tick>,
+    /// The delay menu, in ticks.
+    delays: Vec<Tick>,
     /// The shared empty inbox value: consuming an inbox swaps this in, so
     /// the steady state ("most inboxes empty most of the time") costs no
     /// allocation per step.
     empty_inbox: Arc<Vec<Envelope<SessionMsg>>>,
+}
+
+impl MpStatics {
+    /// A copy behind fresh `Arc`s, its own empty inbox included.
+    fn rehomed(&self) -> MpStatics {
+        MpStatics {
+            gaps: self.gaps.clone(),
+            scale: self.scale,
+            gap_ticks: self.gap_ticks.clone(),
+            delays: self.delays.clone(),
+            empty_inbox: Arc::new(Vec::new()),
+        }
+    }
+
+    /// The gap in ticks of process `process`'s step at gap `index`.
+    fn gap(&self, process: usize, index: usize) -> Tick {
+        match self.gaps {
+            GapMode::PerStep(_) => self.gap_ticks[index],
+            GapMode::FixedPerProcess(_) => self.gap_ticks[process],
+        }
+    }
+
+    /// The instant `tick` ticks after the origin, exactly.
+    fn time(&self, tick: Tick) -> Time {
+        Time::from_ratio(self.dur(tick).as_ratio())
+    }
+
+    /// The span of `ticks` ticks, exactly.
+    fn dur(&self, ticks: Tick) -> Dur {
+        if self.scale == 1 {
+            Dur::from_int(ticks.into())
+        } else {
+            Dur::from_ratio(Ratio::new(ticks.into(), self.scale.into()))
+        }
+    }
+}
+
+/// `span` ticks after `now`.
+///
+/// # Panics
+///
+/// Panics if the sum leaves `i64`: the event times of a path outgrew
+/// the tick range.
+fn later(now: Tick, span: Tick) -> Tick {
+    now.checked_add(span)
+        .expect("event time overflows i64 ticks")
+}
+
+/// The lcm of the denominators of `values`, or `None` past `i64`.
+fn scale_of(values: impl IntoIterator<Item = Ratio>) -> Option<Tick> {
+    let mut scale: Tick = 1;
+    for value in values {
+        // Integers, the common case, leave the scale as it is.
+        if !value.is_integer() {
+            // `den / gcd(scale, den)`: the factor `den` adds to the lcm.
+            let factor = Ratio::new(scale.into(), value.denom()).denom();
+            scale = Tick::try_from(i128::from(scale).checked_mul(factor)?).ok()?;
+        }
+    }
+    Some(scale)
+}
+
+/// `value` in ticks of `1/scale`, a multiple of its denominator, or
+/// `None` past `i64`.
+fn ticks_of(value: Ratio, scale: Tick) -> Option<Tick> {
+    let ticks = if scale == 1 && value.is_integer() {
+        // Whole units need no division.
+        value.numer()
+    } else {
+        value
+            .numer()
+            .checked_mul(i128::from(scale) / value.denom())?
+    };
+    Tick::try_from(ticks).ok()
 }
 
 /// The exhaustive message-passing machine: mirrors
@@ -872,14 +976,14 @@ struct MpStatics {
 /// processes are port processes (`p`'s buffer is port `p`), as
 /// `build_mp_system` wires it.
 ///
-/// The processes live in one table of [`Proc`]s, each holding its state
+/// The processes live in one table of `Proc`s, each holding its state
 /// and its inbox behind `Arc`s and its fingerprint cached beside them:
 /// forking a branch copies the table and `pending` (two allocations) and
 /// bumps refcounts, `apply` copies only the one process (and one inbox)
 /// the event touches, and hashing a state reads the cached fingerprints
 /// instead of walking every process again.
 ///
-/// `pending` is kept in **canonical order** ([`Pending::order`]): by time,
+/// `pending` is kept in **canonical order** (`Pending::order`): by time,
 /// then by what the event is, with the insertion `seq` as the final
 /// tie-break between byte-identical duplicates — which are
 /// interchangeable. The events eligible now are therefore a prefix of
@@ -906,7 +1010,15 @@ pub struct MpMachine {
 
 impl MpMachine {
     /// Builds the machine; `first_steps` are the initial step times
-    /// (branched over at the exploration root).
+    /// (branched over at the exploration root). Times run in integer
+    /// ticks of `1/scale`, where `scale` is the lcm of the denominators
+    /// of the first steps, the gaps and the delays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the delay menu is empty, if `first_steps` does not give
+    /// one time per process, or if the scale or a constant in ticks does
+    /// not fit in an `i64`: such a scope is refused.
     pub fn new(
         algos: Vec<MpAlgo>,
         gaps: GapMode,
@@ -916,11 +1028,23 @@ impl MpMachine {
         assert!(!delays.is_empty(), "delay menu must be nonempty");
         let n = algos.len();
         assert_eq!(n, first_steps.len());
+        let gap_list = match &gaps {
+            GapMode::PerStep(list) | GapMode::FixedPerProcess(list) => list,
+        };
+        let spans = gap_list.iter().chain(&delays).map(|d| d.as_ratio());
+        let refused = "scope refused: its timing constants overflow i64 ticks";
+        let scale = scale_of(first_steps.iter().map(|t| t.as_ratio()).chain(spans)).expect(refused);
+        let in_ticks = |values: &[Dur]| -> Vec<Tick> {
+            let ticks = values.iter().map(|d| ticks_of(d.as_ratio(), scale));
+            ticks.collect::<Option<_>>().expect(refused)
+        };
+        let gap_ticks = in_ticks(gap_list);
+        let delays = in_ticks(&delays);
         let mut pending: Vec<Pending> = first_steps
             .iter()
             .enumerate()
-            .map(|(p, &time)| Pending {
-                time,
+            .map(|(p, time)| Pending {
+                time: ticks_of(time.as_ratio(), scale).expect(refused),
                 seq: p as u64,
                 kind: PendingKind::Step(p),
             })
@@ -941,11 +1065,29 @@ impl MpMachine {
             next_seq: n as u64,
             statics: Arc::new(MpStatics {
                 gaps,
+                scale,
+                gap_ticks,
                 delays,
                 empty_inbox,
             }),
             n,
         }
+    }
+
+    /// Moves this state onto fresh `Arc`s: its statics, its empty inbox,
+    /// and each process's state and inbox. States forked from it share
+    /// no refcount with anything forked before.
+    pub(crate) fn rehome(&mut self) {
+        let statics = Arc::new(self.statics.rehomed());
+        for proc in &mut self.procs {
+            proc.algo = Arc::new(MpAlgo::clone(&proc.algo));
+            proc.inbox = if proc.inbox.is_empty() {
+                Arc::clone(&statics.empty_inbox)
+            } else {
+                Arc::new(Vec::clone(&proc.inbox))
+            };
+        }
+        self.statics = statics;
     }
 
     /// Per-process fingerprints, recomputed from the process states
@@ -968,13 +1110,13 @@ impl MpMachine {
         self.procs.iter().all(|p| p.algo.is_idle())
     }
 
-    fn t_min(&self) -> Time {
+    fn t_min(&self) -> Tick {
         // Each process always has a pending step, and `pending` is sorted.
         self.pending[0].time
     }
 
     /// Enqueues an event at its place in the canonical order.
-    fn schedule(&mut self, time: Time, kind: PendingKind) {
+    fn schedule(&mut self, time: Tick, kind: PendingKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let entry = Pending { time, seq, kind };
@@ -987,9 +1129,9 @@ impl MpMachine {
         self.statics.delays.len().pow(self.n as u32)
     }
 
-    /// The delay of recipient `q`'s copy under delay combo `combo`: the
-    /// combo's `q`-th digit in base `delays.len()`.
-    fn delay(&self, combo: usize, q: usize) -> Dur {
+    /// The delay in ticks of recipient `q`'s copy under delay combo
+    /// `combo`: the combo's `q`-th digit in base `delays.len()`.
+    fn delay(&self, combo: usize, q: usize) -> Tick {
         let width = self.statics.delays.len();
         self.statics.delays[combo / width.pow(q as u32) % width]
     }
@@ -1048,7 +1190,7 @@ impl MpMachine {
     /// Whether the delay menu contains zero — a broadcast can then enable
     /// same-instant deliveries.
     pub(crate) fn has_zero_delay(&self) -> bool {
-        self.statics.delays.iter().any(|d| d.is_zero())
+        self.statics.delays.contains(&0)
     }
 
     /// Number of processes.
@@ -1095,12 +1237,13 @@ impl MpMachine {
     fn fire(
         &mut self,
         at: usize,
-        now: Time,
+        now: Tick,
         step: Option<&Stepped>,
         pick: Option<(usize, usize)>,
         mut trace: Option<&mut session_sim::Trace>,
     ) -> (StepInfo, Range<u64>) {
         let fired = self.pending.remove(at);
+        let time = self.statics.time(now);
         let p = match fired.kind {
             PendingKind::Deliver {
                 to,
@@ -1114,16 +1257,16 @@ impl MpMachine {
                 let idle = proc.algo.is_idle();
                 if let Some(trace) = trace {
                     let msg = msg.expect("traced replay assigns message ids at send time");
-                    trace.record_delivery(msg, now);
+                    trace.record_delivery(msg, time);
                     trace.push(session_sim::TraceEvent {
-                        time: now,
+                        time,
                         process: ProcessId::new(to),
                         kind: session_sim::StepKind::Deliver { msg },
                         idle_after: idle,
                     });
                 }
                 let info = StepInfo {
-                    time: now,
+                    time,
                     process: ProcessId::new(to),
                     port: None,
                     was_idle: idle,
@@ -1144,23 +1287,23 @@ impl MpMachine {
         let first = self.next_seq;
         if let Some(payload) = &step.result.broadcast {
             for q in 0..self.n {
-                let delay = pick.map_or(Dur::ZERO, |(_, combo)| self.delay(combo, q));
+                let delay = pick.map_or(0, |(_, combo)| self.delay(combo, q));
                 let msg = trace
                     .as_deref_mut()
-                    .map(|t| t.record_send(ProcessId::new(p), ProcessId::new(q), now));
+                    .map(|t| t.record_send(ProcessId::new(p), ProcessId::new(q), time));
                 let kind = PendingKind::Deliver {
                     to: q,
                     from: p,
                     value: payload.value,
                     msg,
                 };
-                self.schedule(now + delay, kind);
+                self.schedule(later(now, delay), kind);
             }
         }
         let sent = first..self.next_seq;
         if let Some(trace) = trace {
             trace.push(session_sim::TraceEvent {
-                time: now,
+                time,
                 process: ProcessId::new(p),
                 kind: session_sim::StepKind::MpStep {
                     received: step.result.received,
@@ -1169,10 +1312,10 @@ impl MpMachine {
                 idle_after: step.result.idle_after,
             });
         }
-        let gap = pick.map_or(Dur::ZERO, |(gap, _)| self.statics.gaps.gap(p, gap));
-        self.schedule(now + gap, PendingKind::Step(p));
+        let gap = pick.map_or(0, |(gap, _)| self.statics.gap(p, gap));
+        self.schedule(later(now, gap), PendingKind::Step(p));
         let info = StepInfo {
-            time: now,
+            time,
             process: ProcessId::new(p),
             port: Some(PortId::new(p)),
             was_idle: step.was_idle,
@@ -1189,7 +1332,7 @@ impl MpMachine {
     /// also the menu order — so equal hashes mean equal menus: the hash is
     /// graph-determining, which the parallel explorer's claim table relies
     /// on. Allocates nothing, and reads each process's cached fingerprint;
-    /// each pending event is two words ([`hash_event`]).
+    /// each pending event is two words (`hash_event`).
     pub fn state_hash(&self) -> u64 {
         debug_assert!(
             self.procs.iter().all(|p| p.print == p.algo.fingerprint()),
@@ -1204,8 +1347,9 @@ impl MpMachine {
             }
         });
         hasher.write_usize(self.pending.len());
+        let scale = self.statics.scale;
         for event in &self.pending {
-            hash_event(Some(event.time - t), event.identity(), &mut hasher);
+            hash_event(Some((event.time - t, scale)), event.identity(), &mut hasher);
         }
         if let GapMode::FixedPerProcess(periods) = &self.statics.gaps {
             periods.hash(&mut hasher);
@@ -1233,7 +1377,8 @@ impl MpMachine {
                         value,
                     },
                 };
-                (ev, e.time.since_origin(), e.time.since_origin())
+                let at = self.statics.dur(e.time);
+                (ev, at, at)
             })
             .collect()
     }
@@ -1246,7 +1391,13 @@ impl MpMachine {
     /// The window (relative to the send instant) within which any
     /// in-flight message must be delivered: the hull of the delay menu.
     pub(crate) fn delay_window(&self) -> (Dur, Dur) {
-        hull(&self.statics.delays)
+        let delays: Vec<Dur> = self
+            .statics
+            .delays
+            .iter()
+            .map(|&d| self.statics.dur(d))
+            .collect();
+        hull(&delays)
     }
 
     /// Fires `ev` for the zone walker through [`MpMachine::fire`], the
@@ -1269,7 +1420,7 @@ impl MpMachine {
             ZoneEvent::Step(p) => Some(self.step(p)),
             ZoneEvent::Deliver { .. } => None,
         };
-        let (info, sent) = self.fire(at, Time::ZERO, step.as_ref(), None, None);
+        let (info, sent) = self.fire(at, 0, step.as_ref(), None, None);
         let mut scheduled = Vec::new();
         if let Some(step) = &step {
             let from = info.process.index();
@@ -1340,7 +1491,7 @@ impl MpMachine {
         let mut pending: Vec<(Option<Dur>, Identity)> = self
             .pending
             .iter()
-            .map(|e| (timed.then(|| e.time - t), e.identity()))
+            .map(|e| (timed.then(|| self.statics.dur(e.time - t)), e.identity()))
             .collect();
         pending.sort_unstable();
         parts.push(format!("pending {}", pending.len()));
@@ -1354,22 +1505,22 @@ impl MpMachine {
 
 /// All `menu.len()^k` assignment vectors of menu entries to `k` slots —
 /// the root branches for first-step times and for periodic period
-/// assignments.
+/// assignments. They come in odometer order, the last slot turning
+/// fastest, and each is allocated once.
 pub fn assignments(menu: &[Dur], k: usize) -> Vec<Vec<Dur>> {
-    let mut out = vec![Vec::new()];
-    for _ in 0..k {
-        out = out
-            .into_iter()
-            .flat_map(|prefix| {
-                menu.iter().map(move |&d| {
-                    let mut next = prefix.clone();
-                    next.push(d);
-                    next
-                })
-            })
-            .collect();
-    }
-    out
+    let width = menu.len();
+    let count = (0..k).fold(1, |count: usize, _| count * width);
+    (0..count)
+        .map(|index| {
+            let mut slots = vec![Dur::ZERO; k];
+            let mut rest = index;
+            for slot in slots.iter_mut().rev() {
+                *slot = menu[rest % width];
+                rest /= width;
+            }
+            slots
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1512,6 +1663,13 @@ mod tests {
         let menu = [Dur::from_int(1), Dur::from_int(2)];
         let all = assignments(&menu, 3);
         assert_eq!(all.len(), 8);
+        assert_eq!(
+            all[1],
+            [menu[0], menu[0], menu[1]],
+            "the last slot turns fastest"
+        );
+        assert_eq!(assignments(&menu, 0), [Vec::<Dur>::new()]);
+        assert!(assignments(&[], 2).is_empty());
         let distinct: BTreeSet<Vec<Dur>> = all.into_iter().collect();
         assert_eq!(distinct.len(), 8);
     }
@@ -1686,6 +1844,79 @@ mod tests {
         assert!(Arc::ptr_eq(&a.procs[0].algo, &b.procs[0].algo));
     }
 
+    /// The time words of [`hash_event`] equal those of the exact rational
+    /// `ticks/scale`, written as an integer word when whole and as an
+    /// escape with the lowest-terms numerator and denominator otherwise,
+    /// whatever the scale.
+    #[test]
+    fn tick_time_words_are_the_exact_rationals() {
+        fn words(time: Option<(Tick, Tick)>, rational: Option<Dur>) -> (u64, u64) {
+            let mut ticked = FxHasher::default();
+            hash_event(time, (0, 1, 2, 3), &mut ticked);
+            let mut exact = FxHasher::default();
+            if let Some(time) = rational.map(Dur::as_ratio) {
+                if time.is_integer() {
+                    exact.write_u64(u64::try_from(time.numer()).expect("nonnegative"));
+                } else {
+                    exact.write_u64(ESCAPE);
+                    exact.write_i128(time.numer());
+                    exact.write_i128(time.denom());
+                }
+            }
+            hash_event(None, (0, 1, 2, 3), &mut exact);
+            (ticked.finish(), exact.finish())
+        }
+        for (ticks, scale) in [
+            (0, 1),
+            (7, 1),
+            (0, 6),
+            (3, 6),
+            (4, 6),
+            (12, 6),
+            (5, 2),
+            (9, 4),
+        ] {
+            let rational = Dur::from_ratio(Ratio::new(ticks.into(), scale.into()));
+            let (ticked, exact) = words(Some((ticks, scale)), Some(rational));
+            assert_eq!(ticked, exact, "{ticks}/{scale}");
+        }
+        assert_eq!(words(None, None).0, words(None, None).1);
+    }
+
+    /// A scope whose constants do not fit in `i64` ticks is refused when
+    /// its machine is built.
+    #[test]
+    #[should_panic(expected = "scope refused")]
+    fn a_scope_overflowing_the_ticks_is_refused() {
+        let tiny = Dur::from_ratio(Ratio::new(1, 1 << 62));
+        let _ = MpMachine::new(
+            vec![MpAlgo::Sync(SyncMpPort::new(1))],
+            GapMode::PerStep(vec![Dur::from_ratio(Ratio::new(1, 3))]),
+            vec![tiny],
+            vec![Time::ZERO + Dur::from_int(1)],
+        );
+    }
+
+    /// Half-unit constants run in ticks of 1/2 and come back exactly.
+    #[test]
+    fn half_unit_constants_run_in_half_ticks() {
+        let half = Dur::from_ratio(Ratio::new(1, 2));
+        let space = crate::targets::periodic_mp_space_with_delays(2, 1, &[Dur::ZERO, half]);
+        let AnyMachine::Mp(root) = &space.roots[0] else {
+            panic!("a message-passing target");
+        };
+        assert_eq!(root.statics.scale, 2);
+        assert_eq!(root.statics.delays, [0, 1]);
+        let windows = root.initial_windows();
+        assert!(windows
+            .iter()
+            .all(|(_, lo, hi)| lo == hi && lo.is_positive()));
+        let mut machine = root.clone();
+        let menu = mp_menu(&machine);
+        let info = machine.apply_menu(&menu, menu.choice_count() - 1, None);
+        assert_eq!(info.time, Time::ZERO + Dur::from_int(1));
+    }
+
     /// Drives `root` to quiescence, always firing the eligible event with
     /// the smallest insertion `seq` (the engine queue's FIFO tie-break)
     /// and a pseudo-random gap and delay combo from its block. Returns
@@ -1706,7 +1937,8 @@ mod tests {
         let step_time = |m: &MpMachine, p: usize| {
             let pending = m.pending.iter();
             let mut steps = pending.filter(|e| matches!(e.kind, PendingKind::Step(q) if q == p));
-            steps.next().expect("every process has a pending step").time
+            let tick = steps.next().expect("every process has a pending step").time;
+            m.statics.time(tick)
         };
         let mut times: std::collections::BTreeMap<ProcessId, Vec<Time>> = (0..machine.n)
             .map(|p| (ProcessId::new(p), vec![step_time(&machine, p)]))
@@ -1741,7 +1973,10 @@ mod tests {
                     .filter(|e| e.seq >= first_new && matches!(e.kind, PendingKind::Deliver { .. }))
                     .collect();
                 sent.sort_by_key(|e| e.seq);
-                delays.extend(sent.iter().map(|e| e.time - info.time));
+                delays.extend(
+                    sent.iter()
+                        .map(|e| machine.statics.time(e.time) - info.time),
+                );
             }
         }
         panic!("no quiescence within 10,000 events");
@@ -1755,8 +1990,18 @@ mod tests {
     #[test]
     fn mp_machine_matches_the_engine_along_fifo_paths() {
         use session_sim::{ExplicitSchedule, RunLimits, ScriptedDelay};
-        for name in ["SyncMp", "PeriodicMp", "SporadicMp"] {
-            let space = crate::targets::scoped_target_space(name, 3, 3).expect("registered");
+        let mut spaces: Vec<(&str, crate::TargetSpace)> = ["SyncMp", "PeriodicMp", "SporadicMp"]
+            .into_iter()
+            .map(|name| {
+                let space = crate::targets::scoped_target_space(name, 3, 3).expect("registered");
+                (name, space)
+            })
+            .collect();
+        // Half-unit delays: the machine runs in ticks of 1/2.
+        let half = Dur::from_ratio(Ratio::new(1, 2));
+        let space = crate::targets::periodic_mp_space_with_delays(3, 3, &[Dur::ZERO, half]);
+        spaces.push(("PeriodicMp delays {0, 1/2}", space));
+        for (name, space) in spaces {
             for (r, root) in space.roots.iter().enumerate() {
                 let AnyMachine::Mp(root) = root else {
                     panic!("{name} is a message-passing target");

@@ -5,28 +5,47 @@
 //! # Two phases and the replay's witnesses (DESIGN.md §13)
 //!
 //! * **Phase A — parallel claim walk.** Workers share one visited set,
-//!   the claim table ([`Frontier`]): a worker expanding a state claims
+//!   the claim table (`Frontier`): a worker expanding a state claims
 //!   each open child's [`state_key`], and only the claim's winner keeps
-//!   the child, on its own LIFO stack. Each state is therefore expanded
-//!   exactly once, by whichever worker reached it first, and machines
-//!   cross threads only when a busy worker hands the oldest half of its
-//!   stack to a hungry peer through the donation pool. A shared count of
-//!   claimed-but-unexpanded states detects termination. Every expansion
-//!   appends an annotated successor record to its worker's log.
-//! * **Serial replay.** After the join, the serial DFS is re-run over
-//!   the *logged key-graph* ([`Replay`]): no machine clones, no step
-//!   application, just the DFS kernel of [`crate::walk`] — the one the
-//!   serial explorer runs — over the logged records, in the serial visit
-//!   order. Every reported number — `states`, `pruned`,
-//!   `memo_hits`, `truncated` — is therefore *the serial explorer's
-//!   number*, at every thread count, with or without POR.
-//!   The replay also records each lint code's first witness (code, root,
-//!   path) where the serial explorer does: at the pruned edge, the
-//!   quiescent-deficit edge (quiescent roots in root order) or the
-//!   lasso. Each witness path is then walked once from its root
-//!   ([`crate::replay::replay`]) for its message, session count and
-//!   trace, so codes, roots, paths, messages and their order match
-//!   `threads = 1` with no second walk of the space.
+//!   the child, on its own LIFO stack. The winner also names the
+//!   child's record: an id `(owner, seq)` of its own, which the table
+//!   hands every later claimant of the key. Each state is therefore
+//!   expanded exactly once, by whichever worker reached it first, and
+//!   machines cross threads only when a busy worker hands the oldest
+//!   half of its stack to a hungry peer through the donation pool. A
+//!   worker re-homes every state it takes from the pool onto `Arc`s of
+//!   its own (`AnyMachine::rehome`), so no refcount is written by two
+//!   workers, and answers repeated claims from a small direct-mapped
+//!   filter of the ids it has already seen (`ClaimFilter`). A shared
+//!   count of claimed-but-unexpanded states detects termination. Every
+//!   expansion appends an annotated successor record to its worker's
+//!   log, with each open child named by its id.
+//! * **Counts.** After the join, the serial numbers come from the
+//!   *logged id-graph*, in one of two ways:
+//!   - **Closed form** (`closed_form`), for a clean round: the first
+//!     round, no pruned edge, no deficit leaf or root, and a Kahn pass
+//!     that visits every record with every longest root path inside the
+//!     depth budget. Then the serial DFS expands each record once and
+//!     every other visit is a memo hit, so `states` is the record
+//!     count, `memo_hits` the open visits minus the records, and
+//!     `pruned` the menu choices the ample sets left out. Debug builds
+//!     run the replay as well and assert that the counts agree.
+//!   - **Serial replay** (`Replay`) otherwise: the serial DFS is re-run
+//!     over the logged graph, with no machine clones and no step
+//!     application, just the DFS kernel of `crate::walk` (the one the
+//!     serial explorer runs) over the logged records, in the serial
+//!     visit order. The replay also records each lint code's first
+//!     witness (code, root, path) where the serial explorer does: at
+//!     the pruned edge, the quiescent-deficit edge (quiescent roots in
+//!     root order) or the lasso. Each witness path is then walked once
+//!     from its root ([`crate::replay::replay`]) for its message,
+//!     session count and trace, so codes, roots, paths, messages and
+//!     their order match `threads = 1` with no second walk of the
+//!     space.
+//!
+//!   Either way every reported number — `states`, `pruned`,
+//!   `memo_hits`, `truncated` — is *the serial explorer's number*, at
+//!   every thread count, with or without POR.
 //!
 //! # Exactness: the replay pass and the one key
 //!
@@ -38,10 +57,11 @@
 //! canonical order the hash is computed over, and its choice menu is
 //! their eligible prefix — equal hashes mean equal menus, so every
 //! representative of the class expands to the same record and
-//! first-claim is harmless. Phase A claims states by that key, each
-//! record stores it once, and the replay walks and memoizes on it, just
-//! as the serial explorer does: Phase A expands exactly the states the
-//! serial explorer visits.
+//! first-claim is harmless. Phase A claims states by that key and each
+//! record stores it once. Within a round the claim table makes keys and
+//! record ids a bijection, so the replay, which walks and memoizes on
+//! ids, prunes exactly where the serial explorer's key memo does: Phase
+//! A expands exactly the states the serial explorer visits.
 //!
 //! [`MpMachine`]: crate::machine::MpMachine
 //!
@@ -102,13 +122,35 @@ fn nanos(d: Duration) -> u64 {
 /// to the stripe's own set, whose FxHash buckets by them.
 const CLAIM_STRIPE_BITS: u32 = 6;
 
+/// Bits of a record id that hold its sequence number; the bits above
+/// hold its owner: the worker that won the claim, or the controller
+/// (owner `threads`) for the roots.
+const SEQ_BITS: u32 = 48;
+
+/// The record id of `owner`'s `seq`-th won claim this round.
+fn record_id(owner: usize, seq: u64) -> u64 {
+    debug_assert!(
+        seq < 1 << SEQ_BITS,
+        "claim sequence exceeds the id encoding"
+    );
+    (owner as u64) << SEQ_BITS | seq
+}
+
+/// The owner and sequence number of a record id.
+fn split_id(id: u64) -> (usize, usize) {
+    (
+        (id >> SEQ_BITS) as usize,
+        (id & ((1 << SEQ_BITS) - 1)) as usize,
+    )
+}
+
 /// What one round's workers share: the claim table, the donation pool
 /// and the termination count. A worker holds at most one of its locks
 /// at a time.
 struct Frontier<T> {
-    /// Every state key claimed this round, striped by its top
-    /// [`CLAIM_STRIPE_BITS`] bits.
-    claims: Vec<Mutex<FxHashSet<u64>>>,
+    /// Every state key claimed this round, with the record id its winner
+    /// gave it, striped by the key's top [`CLAIM_STRIPE_BITS`] bits.
+    claims: Vec<Mutex<FxHashMap<u64, u64>>>,
     /// Claimed states handed over to balance load, oldest first.
     pool: Mutex<Vec<T>>,
     /// Workers whose own stack is empty, waiting on the pool. A hint
@@ -128,7 +170,7 @@ impl<T> Frontier<T> {
     fn new() -> Frontier<T> {
         Frontier {
             claims: (0..1 << CLAIM_STRIPE_BITS)
-                .map(|_| Mutex::new(FxHashSet::default()))
+                .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
             pool: Mutex::new(Vec::new()),
             hungry: AtomicUsize::new(0),
@@ -137,14 +179,17 @@ impl<T> Frontier<T> {
         }
     }
 
-    /// Claims `key`: `true` for exactly one caller per key and round,
-    /// which thereby owns the state and must expand it (or void the
-    /// round with [`Frontier::raise_cut`]).
-    fn claim(&self, key: u64) -> bool {
-        self.claims[(key >> (64 - CLAIM_STRIPE_BITS)) as usize]
+    /// Claims `key` under the caller's unused record id `fresh`, and
+    /// returns the id the key holds this round. That is `fresh` for
+    /// exactly one caller per key and round, which thereby owns the
+    /// state and must expand it (or void the round with
+    /// [`Frontier::raise_cut`]); every other caller gets the winner's id.
+    fn claim(&self, key: u64, fresh: u64) -> u64 {
+        *self.claims[(key >> (64 - CLAIM_STRIPE_BITS)) as usize]
             .lock()
             .expect("claim stripe")
-            .insert(key)
+            .entry(key)
+            .or_insert(fresh)
     }
 
     /// Hands the claimed roots to the pool, each one pending.
@@ -335,15 +380,59 @@ struct Claimed {
     machine: AnyMachine,
     counter: SessionCounter,
     depth: usize,
-    /// The [`state_key`] — claims, records and the replay walk all run
-    /// on it.
+    /// The [`state_key`] the state was claimed by.
     key: u64,
+    /// The record id the claim's winner gave it; its owner is the worker
+    /// whose `Arc`s the machine shares.
+    id: u64,
+}
+
+/// Slots in a worker's [`ClaimFilter`]: `2^FILTER_BITS`.
+const FILTER_BITS: u32 = 14;
+
+/// A worker's direct-mapped cache of the claims it has made, won or
+/// lost, each as `(key, id)`. A key's id never changes within a round,
+/// so a hit answers a claim without locking the shared table. Slots are
+/// picked by a Fibonacci hash of the key, and a later key evicts an
+/// earlier one.
+struct ClaimFilter {
+    slots: Box<[(u64, u64)]>,
+}
+
+impl ClaimFilter {
+    /// An id no claim assigns: marks an empty slot.
+    const EMPTY: u64 = u64::MAX;
+
+    fn new() -> ClaimFilter {
+        ClaimFilter {
+            slots: vec![(0, Self::EMPTY); 1 << FILTER_BITS].into_boxed_slice(),
+        }
+    }
+
+    fn slot(key: u64) -> usize {
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - FILTER_BITS)) as usize
+    }
+
+    /// The id `key` was claimed under, if it is still cached.
+    fn get(&self, key: u64) -> Option<u64> {
+        let (cached, id) = self.slots[Self::slot(key)];
+        (id != Self::EMPTY && cached == key).then_some(id)
+    }
+
+    fn put(&mut self, key: u64, id: u64) {
+        self.slots[Self::slot(key)] = (key, id);
+    }
 }
 
 /// One worker's expansion side: walks a claimed state's menu, logs its
 /// successor record and claims its open children.
 struct Expander<'a> {
     frontier: &'a Frontier<Claimed>,
+    /// This worker's index: the owner of the record ids it assigns.
+    owner: usize,
+    /// Claims this worker has won this round: the next id's sequence.
+    won: u64,
+    filter: ClaimFilter,
     /// States (by state key) whose full menu must be expanded this
     /// round (POR proviso fixpoint flags). Read-only during the round.
     flagged: &'a FxHashSet<u64>,
@@ -359,19 +448,39 @@ struct Expander<'a> {
 }
 
 impl Expander<'_> {
+    /// Claims `key` for this worker, through the filter first. Returns
+    /// the key's record id and whether this call won it.
+    fn claim(&mut self, key: u64) -> (u64, bool) {
+        self.claims += 1;
+        if let Some(id) = self.filter.get(key) {
+            return (id, false);
+        }
+        let fresh = record_id(self.owner, self.won);
+        let id = self.frontier.claim(key, fresh);
+        self.filter.put(key, id);
+        let won = id == fresh;
+        self.won += u64::from(won);
+        (id, won)
+    }
+
     /// Expands one claimed state: walk its menu (ample-only under POR
     /// unless flagged for full expansion), log the annotated successor
-    /// record, and push the open children this worker wins.
+    /// record, and push the open children this worker wins. A state
+    /// another worker claimed (a donation or a root) is re-homed first.
     fn expand(&mut self, item: Claimed, stack: &mut Vec<Claimed>) {
         if let Some(board) = self.progress.tick(item.depth) {
             board.set_frontier(self.frontier.pending.load(Ordering::Relaxed) as u64);
         }
         let Claimed {
-            machine,
+            mut machine,
             counter,
             depth,
             key,
+            id,
         } = item;
+        if split_id(id).0 != self.owner {
+            machine.rehome();
+        }
         let mut menu = std::mem::take(&mut self.menu);
         machine.build_menu(&mut menu);
         let choices = menu.choice_count();
@@ -389,6 +498,7 @@ impl Expander<'_> {
             0..choices
         };
         let record = self.log.len();
+        self.log.push(id);
         self.log.push(key);
         self.log.push(0); // meta, patched below
         let mut flags = 0u64;
@@ -414,10 +524,10 @@ impl Expander<'_> {
                         self.log.push(u64::from(deficit));
                     } else {
                         let child_key = state_key(&next, effective);
+                        let (child, won) = self.claim(child_key);
                         self.log.push(TAG_OPEN);
-                        self.log.push(child_key);
-                        self.claims += 1;
-                        if self.frontier.claim(child_key) {
+                        self.log.push(child);
+                        if won {
                             if depth + 1 >= self.max_depth {
                                 self.frontier.raise_cut();
                             } else {
@@ -426,6 +536,7 @@ impl Expander<'_> {
                                     counter: next_counter.unwrap_or_else(|| counter.clone()),
                                     depth: depth + 1,
                                     key: child_key,
+                                    id: child,
                                 });
                             }
                         }
@@ -434,7 +545,7 @@ impl Expander<'_> {
             }
             logged += 1;
         }
-        self.log[record + 1] = logged | (choices as u64) << 16 | flags;
+        self.log[record + 2] = logged | (choices as u64) << 16 | flags;
         self.menu = menu;
     }
 }
@@ -443,6 +554,8 @@ impl Expander<'_> {
 struct WorkerRoundOut {
     tally: Tally,
     log: Vec<u64>,
+    /// Record ids this worker assigned: sequences `0..won`.
+    won: u64,
     prof: Option<Box<WorkerProfile>>,
 }
 
@@ -482,6 +595,7 @@ fn run_worker(
     WorkerRoundOut {
         tally,
         log: expander.log,
+        won: expander.won,
         prof,
     }
 }
@@ -489,15 +603,17 @@ fn run_worker(
 // ---------------------------------------------------------------------
 // The successor log: each expanded state appends one flat record
 //
-//   [key, meta, (ample_word)?, tag0, payload0, ...]
+//   [id, key, meta, (ample_word)?, tag0, payload0, ...]
 //
-// key   = the state key the state was claimed by (record id), which the
-//         replay also memoizes on
+// id    = the record id `owner << SEQ_BITS | seq` the state's claim
+//         winner gave it, which the replay memoizes on
+// key   = the state key the state was claimed by, which proviso flags
+//         name across rounds
 // meta  = logged_children | total_choices << 16 | flags
 // flags = FLAG_AMPLE (an ample range follows) | FLAG_PARTIAL (only the
 //         ample slice of the menu was explored and logged)
 // ample_word = start | end << 32, child tags/payloads in choice order;
-// open-child payloads are state keys.
+// open-child payloads are record ids.
 // ---------------------------------------------------------------------
 
 const TAG_OPEN: u64 = 0;
@@ -535,75 +651,130 @@ fn code_from_tag(tag: u64) -> LintCode {
 /// the bits above hold the log (worker) index.
 const OFFSET_BITS: u32 = 48;
 
+/// A position no record holds: marks an id that has no record.
+const NO_RECORD: u64 = u64::MAX;
+
 /// One round's successor logs, left where the workers wrote them and
-/// indexed by state key. Each position packs (log, offset) into a word,
-/// so the join never copies a log.
+/// indexed by record id: one dense array per owner, by sequence number.
+/// Each position packs (log, offset) into a word, so the join never
+/// copies a log.
 struct Graph {
     logs: Vec<Vec<u64>>,
-    index: FxHashMap<u64, u64>,
+    /// `positions[owner][seq]`: where record `(owner, seq)` starts.
+    positions: Vec<Vec<u64>>,
+    /// Each owner's first index in the round's dense record numbering.
+    bases: Vec<usize>,
+    /// Records in every log.
+    records: usize,
 }
 
 impl Graph {
-    fn build(logs: Vec<Vec<u64>>) -> Graph {
-        let words: usize = logs.iter().map(Vec::len).sum();
-        let mut index = FxHashMap::default();
-        index.reserve(words / 8);
-        for (id, log) in logs.iter().enumerate() {
+    /// Indexes `logs`, whose records carry the ids of owner `i`'s
+    /// sequences `0..won[i]`.
+    fn build(logs: Vec<Vec<u64>>, won: &[u64]) -> Graph {
+        let mut positions: Vec<Vec<u64>> = won
+            .iter()
+            .map(|&won| vec![NO_RECORD; won as usize])
+            .collect();
+        let mut bases = Vec::with_capacity(won.len());
+        let mut records = 0;
+        for owned in &positions {
+            bases.push(records);
+            records += owned.len();
+        }
+        for (log_index, log) in logs.iter().enumerate() {
             let mut at = 0;
             while at < log.len() {
-                let meta = log[at + 1];
-                let logged = (meta & 0xffff) as usize;
-                let has_ample = meta & FLAG_AMPLE != 0;
                 debug_assert!(
                     (at as u64) < 1 << OFFSET_BITS,
                     "log exceeds the index encoding"
                 );
-                index.insert(log[at], (id as u64) << OFFSET_BITS | at as u64);
-                at += 2 + usize::from(has_ample) + 2 * logged;
+                let (owner, seq) = split_id(log[at]);
+                positions[owner][seq] = (log_index as u64) << OFFSET_BITS | at as u64;
+                at += Record::parse(log, at).words;
             }
         }
-        Graph { logs, index }
+        debug_assert!(
+            positions.iter().flatten().all(|&at| at != NO_RECORD),
+            "every won claim was expanded"
+        );
+        Graph {
+            logs,
+            positions,
+            bases,
+            records,
+        }
     }
 
-    /// The record of `key`, parsed.
-    fn state(&self, key: u64) -> Record<'_> {
-        let Some(&at) = self.index.get(&key) else {
-            // Every open edge targets an expanded state in a cut-free
-            // round; an absent record means the log is corrupt.
-            unreachable!("state {key:#x} expanded by no worker");
-        };
+    /// Record `id`'s index in the round's dense numbering `0..records`.
+    fn dense(&self, id: u64) -> usize {
+        let (owner, seq) = split_id(id);
+        self.bases[owner] + seq
+    }
+
+    /// The record of `id`, parsed.
+    fn state(&self, id: u64) -> Record<'_> {
+        let (owner, seq) = split_id(id);
+        let at = self.positions[owner][seq];
+        // Every open edge targets an expanded state in a cut-free round;
+        // an absent record means the log is corrupt.
+        assert!(at != NO_RECORD, "state {id:#x} expanded by no worker");
         let offset = (at & ((1 << OFFSET_BITS) - 1)) as usize;
-        let record = &self.logs[(at >> OFFSET_BITS) as usize][offset..];
-        let meta = record[1];
-        let (ample, children) = if meta & FLAG_AMPLE != 0 {
-            let word = record[2];
-            let range = (word & 0xffff_ffff) as usize..(word >> 32) as usize;
-            (Some(range), &record[3..])
-        } else {
-            (None, &record[2..])
-        };
-        Record {
-            key,
-            choices: ((meta >> 16) & 0xffff) as usize,
-            ample,
-            partial: meta & FLAG_PARTIAL != 0,
-            children,
-        }
+        Record::parse(&self.logs[(at >> OFFSET_BITS) as usize], offset)
     }
 }
 
-/// A logged state, identified by its state key.
+/// A logged state.
 struct Record<'g> {
+    /// Its record id, which the replay memoizes on.
+    id: u64,
+    /// Its state key, which proviso flags name across rounds.
     key: u64,
     choices: usize,
     ample: Option<Range<usize>>,
     /// Only the ample slice of the menu was logged, from index zero.
     partial: bool,
-    /// Tag/payload pairs in choice order, running on to the end of the log.
+    /// Tag/payload pairs in choice order.
     children: &'g [u64],
+    /// The record's length in its log.
+    words: usize,
 }
 
-/// The serial walk over the logged key-graph. It records each code's
+impl<'g> Record<'g> {
+    /// The record starting at `at` in `log`.
+    fn parse(log: &'g [u64], at: usize) -> Record<'g> {
+        let meta = log[at + 2];
+        let logged = (meta & 0xffff) as usize;
+        let (ample, start) = if meta & FLAG_AMPLE != 0 {
+            let word = log[at + 3];
+            let range = (word & 0xffff_ffff) as usize..(word >> 32) as usize;
+            (Some(range), at + 4)
+        } else {
+            (None, at + 3)
+        };
+        let end = start + 2 * logged;
+        Record {
+            id: log[at],
+            key: log[at + 1],
+            choices: ((meta >> 16) & 0xffff) as usize,
+            ample,
+            partial: meta & FLAG_PARTIAL != 0,
+            children: &log[start..end],
+            words: end - at,
+        }
+    }
+
+    /// The ids of its open children.
+    fn open_children(&self) -> impl Iterator<Item = u64> + 'g {
+        let children: &'g [u64] = self.children;
+        children
+            .chunks_exact(2)
+            .filter(|pair| pair[0] == TAG_OPEN)
+            .map(|pair| pair[1])
+    }
+}
+
+/// The serial walk over the logged id-graph. It records each code's
 /// first witness where the serial explorer does: at the pruned edge,
 /// the quiescent-deficit edge or the lasso.
 struct Replay<'g> {
@@ -617,7 +788,7 @@ impl<'g> Space for Replay<'g> {
 
     /// Quiescent states were resolved at their edge or at seed time.
     fn key(&mut self, record: &Record<'g>, _path: &[usize]) -> Option<u64> {
-        Some(record.key)
+        Some(record.id)
     }
 
     fn lasso(&mut self, path: &[usize]) {
@@ -662,8 +833,8 @@ impl<'g> Space for Replay<'g> {
     }
 }
 
-/// Replays the serial walk over `graph` from `roots` in order: the state
-/// key of each open root, `None` for a quiescent one, which has closed
+/// Replays the serial walk over `graph` from `roots` in order: the record
+/// id of each open root, `None` for a quiescent one, which has closed
 /// none of the `s` required sessions.
 fn replay<'g>(
     graph: &'g Graph,
@@ -677,18 +848,151 @@ fn replay<'g>(
     };
     // Growing the memo mid-replay would hold the old and new tables at
     // once, which set the exploration's peak memory.
-    let mut walk = Walk::new(space, max_depth, graph.index.len());
+    let mut walk = Walk::new(space, max_depth, graph.records);
     for (index, root) in roots.iter().enumerate() {
         walk.space.witnesses.root = index;
         match root {
-            Some(key) => {
-                walk.visit(graph.state(*key));
+            Some(id) => {
+                walk.visit(graph.state(*id));
             }
             None if s > 0 => walk.space.witnesses.record(LintCode::SessionDeficit, &[]),
             None => {}
         }
     }
     walk
+}
+
+/// The counts [`replay`] reports for a first round, in closed form, or
+/// `None` when the round is not clean and the replay must run.
+///
+/// A round is clean when its logged edges hold no pruned edge and no
+/// deficit leaf, no quiescent root is a deficit (`s > 0`), and a Kahn
+/// pass over the open edges visits every record, so the graph is
+/// acyclic, with every record's longest root path shorter than
+/// `max_depth`. In a first round the logged edges are the ones the
+/// serial walk takes (the ample range of a state with one, else its
+/// whole menu), and on a clean graph that walk meets no lasso, no
+/// witness, no cycle proviso and no depth cut. So it expands each record
+/// exactly once, at its first visit, and every later visit is a memo hit
+/// on a complete entry:
+///
+/// * `states = memo_misses` = the records;
+/// * `memo_hits` = open edges + open roots − records;
+/// * `pruned` = Σ (choices − |ample|) over the records with an ample set;
+/// * `depth_hits = duplicates = 0`.
+fn closed_form(graph: &Graph, roots: &[Option<u64>], s: u64, max_depth: usize) -> Option<Counts> {
+    let mut indegree = vec![0u32; graph.records];
+    let (mut visits, mut pruned) = (0u64, 0u64);
+    for log in &graph.logs {
+        let mut at = 0;
+        while at < log.len() {
+            let record = Record::parse(log, at);
+            at += record.words;
+            if let Some(ample) = &record.ample {
+                pruned += (record.choices - ample.len()) as u64;
+            }
+            for pair in record.children.chunks_exact(2) {
+                match (pair[0], pair[1]) {
+                    (TAG_OPEN, child) => {
+                        visits += 1;
+                        indegree[graph.dense(child)] += 1;
+                    }
+                    (TAG_QUIESCENT, 0) => {}
+                    _ => return None,
+                }
+            }
+        }
+    }
+    for root in roots {
+        match root {
+            Some(_) => visits += 1,
+            None if s > 0 => return None,
+            None => {}
+        }
+    }
+    // Kahn's algorithm, from the records nothing points to (roots);
+    // `depth` is the longest path from one, final once a record is ready.
+    let mut depth = vec![0u32; graph.records];
+    let mut ready: Vec<u64> = Vec::new();
+    for (owner, owned) in graph.positions.iter().enumerate() {
+        let base = graph.bases[owner];
+        ready.extend(
+            (0..owned.len())
+                .filter(|&seq| indegree[base + seq] == 0)
+                .map(|seq| record_id(owner, seq as u64)),
+        );
+    }
+    let mut sorted = 0;
+    while let Some(id) = ready.pop() {
+        sorted += 1;
+        let below = depth[graph.dense(id)];
+        if below as usize >= max_depth {
+            return None;
+        }
+        for child in graph.state(id).open_children() {
+            let child_index = graph.dense(child);
+            depth[child_index] = depth[child_index].max(below + 1);
+            indegree[child_index] -= 1;
+            if indegree[child_index] == 0 {
+                ready.push(child);
+            }
+        }
+    }
+    if sorted < graph.records {
+        return None; // a cycle: the replay judges its lasso
+    }
+    let records = graph.records as u64;
+    Some(Counts {
+        states: records,
+        memo_hits: visits - records,
+        memo_misses: records,
+        depth_hits: 0,
+        duplicates: 0,
+        pruned,
+    })
+}
+
+/// The serial-exact results of one round: the closed form's for a clean
+/// round, the replay's otherwise. `needs_full` lists the state keys the
+/// replay's cycle proviso asked to expand in full.
+struct Counted {
+    counts: Counts,
+    /// Serial memo entries.
+    unique_states: u64,
+    witnesses: Witnesses,
+    needs_full: Vec<u64>,
+}
+
+/// Counts one round over `graph`. `first` says no state was flagged for
+/// full expansion, which the closed form needs. Debug builds replay a
+/// closed-form round too and check that both agree.
+fn count(graph: &Graph, roots: &[Option<u64>], s: u64, max_depth: usize, first: bool) -> Counted {
+    let closed = first
+        .then(|| closed_form(graph, roots, s, max_depth))
+        .flatten();
+    if let Some(counts) = closed {
+        if cfg!(debug_assertions) {
+            let walk = replay(graph, roots, s, max_depth);
+            assert_eq!(walk.counts, counts, "closed-form counts equal the replay's");
+            assert_eq!(walk.memo_len(), graph.records, "one memo entry per record");
+            assert!(walk.space.witnesses.found.is_empty() && walk.needs_full.is_empty());
+        }
+        return Counted {
+            counts,
+            unique_states: graph.records as u64,
+            witnesses: Witnesses::default(),
+            needs_full: Vec::new(),
+        };
+    }
+    let walk = replay(graph, roots, s, max_depth);
+    Counted {
+        counts: walk.counts,
+        // The replay memo maps ids one to one onto the serial explorer's
+        // keys, so its size matches the serial memo's.
+        unique_states: walk.memo_len() as u64,
+        needs_full: walk.needs_full,
+        witnesses: walk.space.witnesses,
+    }
 }
 
 /// Everything Phase A hands the orchestrator when the claim walk
@@ -719,7 +1023,10 @@ fn explore_partitioned(
     epoch: Instant,
 ) -> Option<PartitionRun> {
     let threads = opts.threads;
-    debug_assert!(threads >= 1);
+    assert!(
+        (1..1 << (64 - SEQ_BITS)).contains(&threads),
+        "record ids name at most 2^16 - 1 workers and the controller"
+    );
     let mut flagged: FxHashSet<u64> = FxHashSet::default();
     let mut rounds = 0u64;
     let mut total = Tally::default();
@@ -737,8 +1044,11 @@ fn explore_partitioned(
             }
             let counter = SessionCounter::new(n, s);
             let key = state_key(root, &counter);
-            replay_roots.push(Some(key));
-            if frontier.claim(key) {
+            // The controller owns the roots' ids, after the workers'.
+            let fresh = record_id(threads, seeds.len() as u64);
+            let id = frontier.claim(key, fresh);
+            replay_roots.push(Some(id));
+            if id == fresh {
                 if max_depth == 0 {
                     return None;
                 }
@@ -747,15 +1057,21 @@ fn explore_partitioned(
                     counter,
                     depth: 0,
                     key,
+                    id,
                 });
             }
         }
+        let mut won = vec![0; threads];
+        won.push(seeds.len() as u64);
         frontier.seed(seeds);
         let outs: Vec<WorkerRoundOut> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
-                .map(|_| {
+                .map(|owner| {
                     let expander = Expander {
                         frontier: &frontier,
+                        owner,
+                        won: 0,
+                        filter: ClaimFilter::new(),
                         flagged: &flagged,
                         s,
                         max_depth,
@@ -778,14 +1094,15 @@ fn explore_partitioned(
         }
         let mut expanded = 0u64;
         let mut logs = Vec::with_capacity(outs.len());
-        for (id, out) in outs.into_iter().enumerate() {
+        for (owner, out) in outs.into_iter().enumerate() {
             total.add(out.tally);
             expanded += out.tally.expanded;
             logs.push(out.log);
+            won[owner] = out.won;
             if let Some(prof) = out.prof {
                 let slots = workers
                     .get_or_insert_with(|| (0..threads).map(|_| WorkerProfile::new()).collect());
-                slots[id].absorb(*prof);
+                slots[owner].absorb(*prof);
             }
         }
         debug_assert_eq!(
@@ -794,12 +1111,12 @@ fn explore_partitioned(
             "claim table: every claimed state expanded exactly once"
         );
         drop(frontier);
-        let graph = Graph::build(logs);
+        let graph = Graph::build(logs, &won);
         // wslint: allow(ws001): flight profiler measures real elapsed time by design
         let replay_started = Instant::now();
-        let replay = replay(&graph, &replay_roots, s, max_depth);
+        let counted = count(&graph, &replay_roots, s, max_depth, flagged.is_empty());
         replay_ns += nanos(replay_started.elapsed());
-        let fresh: Vec<u64> = replay
+        let fresh: Vec<u64> = counted
             .needs_full
             .iter()
             .filter(|key| !flagged.contains(*key))
@@ -811,11 +1128,9 @@ fn explore_partitioned(
             continue;
         }
         return Some(PartitionRun {
-            counts: replay.counts,
-            // Serial memo entries: the replay memo is keyed like the
-            // serial explorer's, so its size matches it.
-            unique_states: replay.memo_len() as u64,
-            witnesses: replay.space.witnesses,
+            counts: counted.counts,
+            unique_states: counted.unique_states,
+            witnesses: counted.witnesses,
             rounds,
             tally: total,
             replay_ns,
@@ -949,6 +1264,26 @@ mod tests {
         assert!(meta & FLAG_PARTIAL != 0);
         let word = 3u64 | 7u64 << 32;
         assert_eq!((word & 0xffff_ffff, word >> 32), (3, 7));
+        for (owner, seq) in [(0, 0), (1, 5), (8, (1 << SEQ_BITS) - 1)] {
+            assert_eq!(split_id(record_id(owner, seq as u64)), (owner, seq));
+        }
+        // A record: id, key, meta, ample word, two tag/payload pairs.
+        let id = record_id(1, 4);
+        let log = [
+            id,
+            99,
+            2 | 9 << 16 | FLAG_AMPLE | FLAG_PARTIAL,
+            word,
+            TAG_OPEN,
+            7,
+            2,
+            0,
+        ];
+        let record = Record::parse(&log, 0);
+        assert_eq!((record.id, record.key, record.choices), (id, 99, 9));
+        assert_eq!((record.ample.clone(), record.partial), (Some(3..7), true));
+        assert_eq!((record.children, record.words), (&log[4..], 8));
+        assert_eq!(record.open_children().collect::<Vec<_>>(), [7]);
         for code in [
             LintCode::SessionDeficit,
             LintCode::BBoundViolation,
@@ -962,15 +1297,221 @@ mod tests {
 
     #[test]
     fn graph_indexes_records_in_every_log() {
-        // Two logs, one record each: key, meta (one open child).
-        let logs = vec![vec![11, 1 | 1 << 16, TAG_OPEN, 22], vec![22, 0]];
-        let graph = Graph::build(logs);
-        let (root, child) = (graph.state(11), graph.state(22));
+        // Owner 2 (the controller) claimed a root that worker 0 expanded;
+        // worker 0 claimed its child, which worker 1 expanded. Each log
+        // holds one record: id, key, meta (one open child, or none).
+        let (root, child) = (record_id(2, 0), record_id(0, 0));
+        let logs = vec![
+            vec![root, 11, 1 | 1 << 16, TAG_OPEN, child],
+            vec![child, 22, 0],
+        ];
+        let graph = Graph::build(logs, &[1, 0, 1]);
+        assert_eq!(graph.records, 2);
+        assert_eq!((graph.dense(child), graph.dense(root)), (0, 1));
+        let (parent, leaf) = (graph.state(root), graph.state(child));
         assert_eq!(
-            (root.key, root.choices, root.children),
-            (11, 1, &[TAG_OPEN, 22][..])
+            (parent.id, parent.key, parent.choices, parent.children),
+            (root, 11, 1, &[TAG_OPEN, child][..])
         );
-        assert_eq!((child.key, child.choices, child.children.len()), (22, 0, 0));
+        assert_eq!(
+            (leaf.id, leaf.key, leaf.choices, leaf.words),
+            (child, 22, 0, 3)
+        );
+    }
+
+    /// One round's records for the closed-form tests, written into
+    /// `logs` like workers would: record `(owner, seq)` goes to log
+    /// `seq % logs`, logged children are `(tag, payload)` pairs with
+    /// open-child payloads as `(owner, seq)`, and an ample range makes
+    /// the record partial, as in a first round.
+    struct Synthetic {
+        logs: Vec<Vec<u64>>,
+        won: Vec<u64>,
+    }
+
+    /// A logged child: open, quiescent (`SA001` deficit or not), or
+    /// pruned at a step lint.
+    enum Logged {
+        Open(usize, u64),
+        Quiescent(bool),
+        Pruned,
+    }
+
+    impl Synthetic {
+        fn new(owners: usize, logs: usize) -> Synthetic {
+            Synthetic {
+                logs: vec![Vec::new(); logs],
+                won: vec![0; owners],
+            }
+        }
+
+        fn record(
+            &mut self,
+            (owner, seq): (usize, u64),
+            choices: usize,
+            ample: Option<Range<usize>>,
+            children: &[Logged],
+        ) -> &mut Synthetic {
+            let id = record_id(owner, seq);
+            self.won[owner] = self.won[owner].max(seq + 1);
+            let count = self.logs.len() as u64;
+            let log = &mut self.logs[(seq % count) as usize];
+            let mut meta = children.len() as u64 | (choices as u64) << 16;
+            if ample.is_some() {
+                meta |= FLAG_AMPLE | FLAG_PARTIAL;
+            }
+            log.extend([id, !id, meta]);
+            if let Some(ample) = ample {
+                log.push(ample.start as u64 | (ample.end as u64) << 32);
+            }
+            for child in children {
+                log.extend(match *child {
+                    Logged::Open(owner, seq) => [TAG_OPEN, record_id(owner, seq)],
+                    Logged::Quiescent(deficit) => [TAG_QUIESCENT, u64::from(deficit)],
+                    Logged::Pruned => [TAG_PRUNED, code_tag(LintCode::StaleEvidence)],
+                });
+            }
+            self
+        }
+
+        fn graph(&self) -> Graph {
+            Graph::build(self.logs.clone(), &self.won)
+        }
+    }
+
+    /// A round that must be replayed: its name, records, roots, whether
+    /// it is a first round, and the witness the replay finds.
+    type Unclean<'a> = (
+        &'a str,
+        &'a Synthetic,
+        &'a [Option<u64>],
+        bool,
+        Option<LintCode>,
+    );
+
+    /// A DAG over three owners and two logs: roots R0 and R1 (owner 2,
+    /// R1 listed twice), a diamond below R0 through an ample record,
+    /// a shared child, and quiescent leaves that closed every session.
+    fn dag() -> Synthetic {
+        use Logged::{Open, Quiescent};
+        let mut dag = Synthetic::new(3, 2);
+        dag.record((2, 0), 3, Some(0..2), &[Open(0, 0), Open(0, 1)])
+            .record((2, 1), 2, None, &[Open(0, 1), Quiescent(false)])
+            .record((0, 0), 2, None, &[Open(1, 0), Open(0, 1)])
+            .record((0, 1), 4, Some(1..2), &[Open(1, 0)])
+            .record((1, 0), 1, None, &[Quiescent(false)]);
+        dag
+    }
+
+    #[test]
+    fn closed_form_counts_equal_the_replays_on_a_dag() {
+        let dag = dag();
+        let graph = dag.graph();
+        let roots = [
+            Some(record_id(2, 0)),
+            None,
+            Some(record_id(2, 1)),
+            Some(record_id(2, 1)),
+        ];
+        let open_roots = [Some(record_id(2, 1)), Some(record_id(2, 0))];
+        for s in [0, 3] {
+            let roots = if s == 0 { &roots[..] } else { &open_roots[..] };
+            let counts = closed_form(&graph, roots, s, 8).expect("a clean round");
+            let walk = replay(&graph, roots, s, 8);
+            assert_eq!(counts, walk.counts);
+            assert!(walk.space.witnesses.found.is_empty());
+            assert_eq!(walk.memo_len(), graph.records);
+        }
+        let counts = closed_form(&graph, &roots, 0, 8).expect("a clean round");
+        // Five records; six open edges and three open roots visit.
+        assert_eq!((counts.states, counts.memo_hits, counts.pruned), (5, 4, 4));
+        // Longest root path: R0 → (0,0) → (0,1) → (1,0) has 3 edges.
+        assert!(closed_form(&graph, &roots, 0, 4).is_some());
+    }
+
+    /// Each unclean round leaves the counting to the replay, whose
+    /// counts and witnesses [`count`] then reports.
+    #[test]
+    fn an_unclean_round_is_counted_by_the_replay() {
+        use Logged::{Open, Pruned, Quiescent};
+        let roots = [Some(record_id(2, 0))];
+        let mut cycle = Synthetic::new(3, 2);
+        cycle.record((2, 0), 1, None, &[Open(0, 0)]).record(
+            (0, 0),
+            2,
+            None,
+            &[Open(2, 0), Quiescent(false)],
+        );
+        let mut pruned = Synthetic::new(3, 1);
+        pruned.record((2, 0), 2, None, &[Pruned, Quiescent(false)]);
+        let mut deficit = Synthetic::new(3, 1);
+        deficit.record((2, 0), 2, None, &[Quiescent(false), Quiescent(true)]);
+        let cases: [Unclean<'_>; 5] = [
+            (
+                "cycle",
+                &cycle,
+                &roots,
+                true,
+                Some(LintCode::NonTermination),
+            ),
+            (
+                "pruned edge",
+                &pruned,
+                &roots,
+                true,
+                Some(LintCode::StaleEvidence),
+            ),
+            (
+                "deficit leaf",
+                &deficit,
+                &roots,
+                true,
+                Some(LintCode::SessionDeficit),
+            ),
+            (
+                "deficit root",
+                &dag(),
+                &[None, Some(record_id(2, 0))],
+                true,
+                Some(LintCode::SessionDeficit),
+            ),
+            ("flagged round", &dag(), &roots, false, None),
+        ];
+        for (name, synthetic, roots, first, code) in cases {
+            let graph = synthetic.graph();
+            if first {
+                assert!(closed_form(&graph, roots, 3, 8).is_none(), "{name}");
+            }
+            let counted = count(&graph, roots, 3, 8, first);
+            let walk = replay(&graph, roots, 3, 8);
+            assert_eq!(counted.counts, walk.counts, "{name}");
+            assert_eq!(counted.unique_states, walk.memo_len() as u64, "{name}");
+            let found: Vec<LintCode> = counted.witnesses.found.iter().map(|w| w.0).collect();
+            assert_eq!(found, Vec::from_iter(code), "{name}");
+        }
+    }
+
+    /// A record a short path claimed first but a longer one reaches at
+    /// the depth budget: the serial walk cuts the long path, so only the
+    /// replay counts it right.
+    #[test]
+    fn a_longest_path_at_the_budget_is_counted_by_the_replay() {
+        use Logged::{Open, Quiescent};
+        // R → a → b → c and R → c; c was claimed at depth 1.
+        let mut deep = Synthetic::new(3, 2);
+        deep.record((2, 0), 2, None, &[Open(0, 0), Open(0, 2)])
+            .record((0, 0), 1, None, &[Open(0, 1)])
+            .record((0, 1), 1, None, &[Open(0, 2)])
+            .record((0, 2), 1, None, &[Quiescent(false)]);
+        let graph = deep.graph();
+        let roots = [Some(record_id(2, 0))];
+        assert!(closed_form(&graph, &roots, 3, 4).is_some());
+        assert!(closed_form(&graph, &roots, 3, 3).is_none());
+        let counted = count(&graph, &roots, 3, 3, true);
+        assert_eq!(counted.counts, replay(&graph, &roots, 3, 3).counts);
+        // The cut at c leaves no memo entry, so the short path expands
+        // c afresh.
+        assert_eq!((counted.counts.states, counted.counts.depth_hits), (4, 1));
     }
 
     #[test]
@@ -991,7 +1532,12 @@ mod tests {
     #[test]
     fn pending_counts_claimed_states_until_expanded() {
         let frontier: Frontier<u32> = Frontier::new();
-        assert!(frontier.claim(7));
+        assert_eq!(frontier.claim(7, 1), 1);
+        assert_eq!(
+            frontier.claim(7, 2),
+            1,
+            "a later claim gets the winner's id"
+        );
         frontier.seed(vec![7]);
         assert!(!frontier.quiescent());
         frontier.settle(3); // the root won three children
@@ -1013,14 +1559,18 @@ mod tests {
         const THREADS: usize = 4;
         const NODES: u64 = 40_000;
         let frontier: Frontier<u64> = Frontier::new();
-        assert!(frontier.claim(0));
+        assert_eq!(
+            frontier.claim(0, record_id(THREADS, 0)),
+            record_id(THREADS, 0)
+        );
         frontier.seed(vec![0]);
         let expanded = AtomicU64::new(0);
         let seen: Vec<AtomicBool> = (0..NODES).map(|_| AtomicBool::new(false)).collect();
         std::thread::scope(|scope| {
-            for _ in 0..THREADS {
+            for owner in 0..THREADS {
                 let (frontier, expanded, seen) = (&frontier, &expanded, &seen);
                 scope.spawn(move || {
+                    let mut won = 0;
                     work(
                         frontier,
                         |key: u64, stack: &mut Vec<u64>| {
@@ -1030,7 +1580,9 @@ mod tests {
                                 // Claim a spread image of the id, so the
                                 // claims land in every stripe.
                                 let spread = child.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                                if child < NODES && frontier.claim(spread) {
+                                let fresh = record_id(owner, won);
+                                if child < NODES && frontier.claim(spread, fresh) == fresh {
+                                    won += 1;
                                     stack.push(child);
                                 }
                             }
@@ -1069,25 +1621,38 @@ mod loom_tests {
         loom::model(|| {
             let frontier: Arc<Frontier<u64>> = Arc::new(Frontier::new());
             // Small keys share a stripe and `u64::MAX` has the last
-            // one; 2 and 3 are claimed by both workers.
-            let claim_all = |frontier: &Frontier<u64>, keys: &[u64]| -> Vec<u64> {
-                keys.iter()
-                    .copied()
-                    .filter(|&key| frontier.claim(key))
-                    .collect()
+            // one; 2 and 3 are claimed by both workers. Each claim
+            // offers the claimant's next fresh id and returns the key's
+            // `(key, id, won)`.
+            let claim_all = |frontier: &Frontier<u64>, owner: usize, keys: &[u64]| {
+                let mut won = 0;
+                let mut seen = Vec::new();
+                for &key in keys {
+                    let fresh = record_id(owner, won);
+                    let id = frontier.claim(key, fresh);
+                    won += u64::from(id == fresh);
+                    seen.push((key, id, id == fresh));
+                }
+                seen
             };
             let peer = {
                 let frontier = Arc::clone(&frontier);
-                loom::thread::spawn(move || claim_all(&frontier, &[3, u64::MAX, 2]))
+                loom::thread::spawn(move || claim_all(&frontier, 1, &[3, u64::MAX, 2]))
             };
-            let mut won = claim_all(&frontier, &[2, 3, 4]);
-            won.extend(peer.join().expect("peer"));
+            let mut seen = claim_all(&frontier, 0, &[2, 3, 4]);
+            seen.extend(peer.join().expect("peer"));
+            let mut won: Vec<u64> = seen.iter().filter(|c| c.2).map(|c| c.0).collect();
             won.sort_unstable();
             assert_eq!(
                 won,
                 vec![2, 3, 4, u64::MAX],
                 "each key won by exactly one worker"
             );
+            // Every caller of a key sees the id its winner offered.
+            for &(key, id, _) in &seen {
+                let winner = seen.iter().find(|c| c.0 == key && c.2).expect("won");
+                assert_eq!(id, winner.1, "key {key} seen under another id");
+            }
             assert_eq!(frontier.claimed(), 4);
         });
     }

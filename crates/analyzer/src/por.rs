@@ -30,7 +30,7 @@
 //!
 //! # The ample set
 //!
-//! [`select_ample`] returns the flat-choice range of a single event all of
+//! `select_ample` returns the flat-choice range of a single event all of
 //! whose co-enabled peers are independent of it (a *persistent* singleton
 //! — one event together with every gap/delay parameterization of it).
 //! Machines that maintain a session *claim* (`A(sp)`) never get a step

@@ -243,7 +243,8 @@ pub struct ExploreProfile {
     /// Phase A (parallel claim walk, all rounds) wall clock; the whole
     /// walk for the serial explorer.
     pub phase_a_ns: u64,
-    /// Serial replay over the logged key-graph, wall clock.
+    /// The count step over the logged id-graph, wall clock: the closed
+    /// form of a clean round, or the serial replay.
     pub replay_ns: u64,
     /// Witness walks wall clock: each recorded witness path walked once
     /// from its root for its message, session count and trace (the slot

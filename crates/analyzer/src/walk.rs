@@ -83,7 +83,7 @@ pub(crate) trait Space {
 }
 
 /// The kernel's counters.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Counts {
     /// States expanded.
     pub(crate) states: u64,

@@ -25,7 +25,10 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use session_analyzer::explore::{check_step, state_key, AnyMachine, SessionCounter};
-use session_analyzer::{scoped_target_space, target_space, TargetSpace};
+use session_analyzer::{
+    periodic_mp_space_with_delays, scoped_target_space, target_space, TargetSpace,
+};
+use session_types::{Dur, Ratio};
 
 /// Targets whose audit runs in every build.
 const FAST_TARGETS: [&str; 11] = [
@@ -189,6 +192,16 @@ fn fast_targets_have_no_key_collisions() {
 #[cfg_attr(debug_assertions, ignore = "minutes in debug; runs under --release")]
 fn sporadic_targets_have_no_key_collisions() {
     audit_registered(&SLOW_TARGETS);
+}
+
+/// A half-unit delay menu: its machines run in ticks of 1/2, and their
+/// keys write the non-integer times as exact rationals.
+#[test]
+fn half_unit_periodic_mp_has_no_key_collisions() {
+    let half = Dur::from_ratio(Ratio::new(1, 2));
+    let space = periodic_mp_space_with_delays(2, 2, &[Dur::ZERO, half]);
+    let audited = audit("PeriodicMp delays {0, 1/2}", &space);
+    assert!(audited.states > 0 && audited.controls > 0);
 }
 
 /// The bench headline space: every one of its 325,431 explored states

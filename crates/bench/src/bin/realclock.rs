@@ -13,7 +13,7 @@
 //! measured running time, the verdict, the sessions and the steps taken
 //! up to quiescence. A packet consumed after its nominal delivery time
 //! changes the logical execution, so a run with a late packet is run
-//! again (up to [`ATTEMPTS`] times) and the table reports the first run
+//! again (up to `ATTEMPTS` times) and the table reports the first run
 //! without one: two runs of one commit then print the same table. A row
 //! whose every attempt had a late packet is marked `†`: its logical
 //! execution depended on the host. The verdict and the conformance

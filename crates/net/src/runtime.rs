@@ -1,7 +1,7 @@
 //! The real-clock runtime: one OS thread per process.
 //!
 //! Each thread owns its algorithm state machine ([`session_mpm::MpProcess`]),
-//! its transport endpoint, a [`Pacer`](crate::Pacer) and a seeded RNG. Per
+//! its transport endpoint, a [`crate::Pacer`] and a seeded RNG. Per
 //! iteration it advances the nominal clock, sleeps to the matching
 //! wall-clock instant, drains the endpoint, consumes every packet whose
 //! nominal delivery time has arrived, takes one algorithm step through the

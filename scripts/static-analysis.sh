@@ -49,9 +49,10 @@ current_step="clippy"
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-current_step="rustdoc (broken intra-doc links)"
-echo "== rustdoc: intra-doc links must resolve =="
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --document-private-items \
+current_step="rustdoc (intra-doc links)"
+echo "== rustdoc: intra-doc links must resolve, reach public items and not repeat themselves =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links \
+    -D rustdoc::redundant_explicit_links" cargo doc --no-deps --document-private-items \
     --workspace --exclude criterion --exclude loom --exclude proptest --exclude rand \
     --exclude rustc-hash
 

@@ -145,12 +145,17 @@ targets: the ten paper algorithms (clean) and three naive witnesses
         let mut profile: Option<PathBuf> = None;
         let mut progress: Option<bool> = None;
 
-        let target = |kv: &KvArgs, name: &str| {
-            if target_names().contains(&name) {
-                Ok(name.to_string())
-            } else {
-                Err(kv.error(format_args!("unknown target `{name}`")))
+        // A target named twice would be explored twice and reported in
+        // two identical rows, so it is refused like a repeated key.
+        let add_target = |kv: &KvArgs, targets: &mut Vec<String>, name: &str| {
+            if !target_names().contains(&name) {
+                return Err(kv.error(format_args!("unknown target `{name}`")));
             }
+            if targets.iter().any(|known| known == name) {
+                return Err(kv.error(format_args!("duplicate target `{name}`")));
+            }
+            targets.push(name.to_string());
+            Ok(())
         };
         let set_codes = |kv: &KvArgs, lints: &mut LintConfig, value: &str, severity| {
             for part in value.split(',') {
@@ -166,7 +171,7 @@ targets: the ten paper algorithms (clean) and three naive witnesses
             match arg {
                 "--all" => all = true,
                 "--list" => list = true,
-                _ if !arg.contains('=') => targets.push(target(&kv, arg)?),
+                _ if !arg.contains('=') => add_target(&kv, &mut targets, arg)?,
                 _ => match kv.pair(arg)? {
                     ("format", value) => {
                         format = match value {
@@ -194,7 +199,7 @@ targets: the ten paper algorithms (clean) and three naive witnesses
                     }
                     ("threads", value) => threads = Some(kv.positive("threads", value, "a count")?),
                     ("symbolic", value) => symbolic = Some(kv.on_off("symbolic", value)?),
-                    ("target", value) => targets.push(target(&kv, value)?),
+                    ("target", value) => add_target(&kv, &mut targets, value)?,
                     ("n", value) => {
                         let parsed: usize = kv.positive("n", value, "a process count")?;
                         if parsed > SessionCounter::MAX_PORTS {
@@ -501,6 +506,22 @@ mod tests {
         // Positional targets are not keys: naming several stays legal.
         let config = AnalyzeConfig::parse(["SyncSm", "SyncMp", "target=PeriodicMp"]).unwrap();
         assert_eq!(config.targets, vec!["SyncSm", "SyncMp", "PeriodicMp"]);
+    }
+
+    #[test]
+    fn a_target_named_twice_is_rejected_by_name() {
+        // Either spelling: two positionals, or a positional and a key.
+        for args in [
+            ["SyncSm", "SyncMp", "SyncSm"],
+            ["SyncSm", "SyncMp", "target=SyncSm"],
+        ] {
+            let err = AnalyzeConfig::parse(args).unwrap_err().to_string();
+            assert!(err.contains("duplicate target `SyncSm`"), "{err}");
+            assert!(err.contains("usage: session-cli analyze"), "{err}");
+        }
+        // `--all` still replaces whatever was named.
+        let config = AnalyzeConfig::parse(["SyncSm", "--all"]).unwrap();
+        assert_eq!(config.targets.len(), target_names().len());
     }
 
     #[test]
